@@ -11,7 +11,7 @@ RESULTS_DIR ?= results
 
 .PHONY: all lint analyze typecheck test test-fast test-contracts \
 	baseline rules bench bench-quick bench-figures sweep chaos \
-	fabric-smoke chaos-fleet validate
+	fabric-smoke chaos-fleet validate perfbench-test
 
 all: lint analyze test
 
@@ -66,6 +66,11 @@ bench:
 bench-quick:
 	$(PYTHON) -m repro.bench --quick \
 		--baseline benchmarks/perf/baseline.json
+
+## the layered benchmark's own tests (~15 s): its workloads import
+## simulator entry points, so a break there fails here, not mid-benchmark
+perfbench-test:
+	$(PYTHON) -m pytest perfbench/tests -q
 
 ## paper-figure microbenchmarks (pytest-benchmark; the old `make bench`)
 bench-figures:

@@ -54,15 +54,12 @@ def main():
     core = stats.cores[0]
 
     bound = worst_case_single_delay(config)
-    worst_observed = 0
-    if core.retired:
-        # Per-request shaper delays are bounded by total stall over any
-        # single request; the max observed stall never exceeds the bound.
-        worst_observed = core.shaper_stall_cycles // max(
-            1, shaper.stalled_requests or 1)
+    # Total shaper stall spread over every released request: the mean
+    # per-request delay, which cannot exceed the per-request worst case.
+    mean_stall = core.shaper_stall_cycles / max(1, shaper.released)
     print(f"\nshared run: task work={core.work_cycles}, "
           f"released={shaper.released}, "
-          f"mean shaper stall={worst_observed} cycles "
+          f"mean shaper stall={mean_stall:.1f} cycles "
           f"(analytic worst case {bound})")
     periods_elapsed = CYCLES // period
     budget = guaranteed_requests_per_period(config) * (periods_elapsed + 1)

@@ -1,70 +1,28 @@
-"""Macro-tick shaper replenishment: one vectorized step per ``T_r`` window.
+"""Macro-tick eligibility: do a system's shapers share one ``T_r`` boundary?
 
-The heap kernel replenishes lazily: every shaper applies its
+MITTS resets every bin register at each ``T_r`` boundary (Algorithm 1).
+The simulator applies that reset lazily: every shaper runs its
 :class:`~repro.core.replenish.ResetReplenisher` clock inside
-``earliest_issue``/``issue`` calls, so a system with N shapers performs N
-independent catch-up computations scattered through the window.  MITTS
-itself is epoch-structured -- hardware resets every bin register at each
-``T_r`` boundary (Algorithm 1) -- and that maps onto a single batched
-update: at each common boundary, advance *every* shaper one window in one
-``np.minimum(counts + caps, caps)`` over the (cores x bins) credit matrix.
-
-**Equivalence argument** (why the pump is bit-neutral): for the reset
-policy, ``apply_until(state, t)`` at or past a boundary performs
-``state.replenish()`` (counts := K) and advances the clock past ``t``;
-crossing several boundaries collapses into one reset because a reset is
-idempotent.  Every shaper decision (``earliest_issue``, ``issue``) applies
-the clock *before* reading credits, and method-2 refunds saturate at ``K``,
-so eagerly performing the boundary reset at the boundary cycle instead of
-at the next decision point yields the same counter values at every decision
-point -- the only observable difference is raw mid-window introspection of
-``state.counts`` between a boundary and the first decision after it, which
-no simulated behaviour consumes.  The pump therefore fires exactly at the
-common boundary, resets the whole matrix, and advances every replenisher
-clock by one period; shapers whose clock was already advanced lazily in the
-same window are recognised and skipped.
-
-The pump attaches only when the configuration is provably eligible: every
-port holds a :class:`~repro.core.shaper.MittsShaper` using hybrid method 2
-with a plain :class:`~repro.core.replenish.ResetReplenisher`, and all
-shapers share one period and one (phase-aligned) next boundary.  Staggered
-phases (the anti-lockstep configuration) have no common boundary, so they
-keep the lazy path.  Eligibility is re-validated at every tick: the online
-tuner may swap limiters mid-run (``set_limiter``/``reconfigure``), and on
-any mismatch the pump simply goes dormant -- lazy application is always
-correct, so a dormant pump never breaks a run.
+``earliest_issue``/``issue`` before reading credits, which is the only
+replenishment path.  This module keeps the predicate that says whether a
+system's shapers are *phase-aligned* -- all hybrid method 2, all on a plain
+reset replenisher, sharing one period and one next boundary -- so that a
+single per-window reset would cover them.  Workloads and traces use it to
+classify configurations (aligned vs staggered vs unshaped).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from .replenish import ResetReplenisher
 from .shaper import MittsShaper
 
-try:  # pragma: no cover - numpy ships with the toolchain
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
 
 class MacroTickPump:
-    """Vectorized per-window replenisher for a system's MITTS shapers.
+    """Namespace for :meth:`eligible` (no instances are built)."""
 
-    Build via :meth:`attach`; instances self-schedule on the system's
-    engine and are picklable (checkpoints taken between ticks restore the
-    pending tick event).
-    """
-
-    __slots__ = ("system", "period", "_tick_cb")
-
-    def __init__(self, system, period: int) -> None:
-        self.system = system
-        self.period = period
-        self._tick_cb = self._tick
-
-    # ------------------------------------------------------------------
-    # eligibility
+    __slots__ = ()
 
     @staticmethod
     def eligible(system) -> Optional[Tuple[int, int]]:
@@ -89,83 +47,3 @@ class MacroTickPump:
         if period is None:
             return None
         return period, boundary
-
-    @classmethod
-    def attach(cls, system, mode: str = "auto") -> Optional["MacroTickPump"]:
-        """Create and schedule a pump for ``system`` if eligible.
-
-        ``mode``: ``"auto"`` attaches when eligible, ``"force"`` raises
-        ``ValueError`` when the configuration is not eligible (explicit
-        opt-in diagnostics), ``"off"`` never attaches.
-        """
-        if mode == "off":
-            return None
-        if mode not in ("auto", "force"):
-            raise ValueError(f"unknown macro_tick mode {mode!r}; "
-                             f"known: ('auto', 'force', 'off')")
-        found = cls.eligible(system)
-        if found is None:
-            if mode == "force":
-                raise ValueError(
-                    "macro_tick='force' requires every port limiter to be "
-                    "a method-2 MittsShaper with a ResetReplenisher sharing "
-                    "one period and one aligned boundary")
-            return None
-        period, boundary = found
-        pump = cls(system, period)
-        system.engine.schedule(boundary, pump._tick_cb)
-        return pump
-
-    # ------------------------------------------------------------------
-    # the tick
-
-    def _due_shapers(self, now: int) -> Optional[List[MittsShaper]]:
-        """Shapers whose boundary is ``now``; ``None`` = gate failed."""
-        period = self.period
-        due: List[MittsShaper] = []
-        for port in self.system.ports:
-            limiter = port.limiter
-            if type(limiter) is not MittsShaper \
-                    or limiter.method != MittsShaper.METHOD_DEDUCT_REFUND:
-                return None
-            replenisher = limiter.replenisher
-            if type(replenisher) is not ResetReplenisher \
-                    or replenisher.period != period:
-                return None
-            if replenisher._next == now:
-                due.append(limiter)
-            elif replenisher._next != now + period:
-                # Reconfigured to a different phase: no common boundary.
-                return None
-        return due
-
-    def _tick(self) -> None:
-        now = self.system.engine.now
-        due = self._due_shapers(now)
-        if due is None:
-            # Configuration drifted away (limiter swap/reconfigure): go
-            # dormant without touching any state -- the lazy per-shaper
-            # path remains correct for whatever is installed now.
-            return
-        boundary = now + self.period
-        if due:
-            rows = self._replenished_rows(due)
-            for shaper, row in zip(due, rows):
-                # Same effect as state.replenish() + one apply_until step.
-                shaper.state.counts = row
-                shaper.replenisher._next = boundary
-        self.system.engine.schedule(boundary, self._tick_cb)
-
-    @staticmethod
-    def _replenished_rows(due: List[MittsShaper]) -> List[List[int]]:
-        """Post-boundary counters for every due shaper, one batched op."""
-        caps = [list(shaper.state.config.credits) for shaper in due]
-        if _np is not None and len({len(row) for row in caps}) == 1:
-            caps_matrix = _np.array(caps, dtype=_np.int64)
-            counts_matrix = _np.array([shaper.state.counts for shaper in due],
-                                      dtype=_np.int64)
-            # Reset replenishment refills every bin to its cap; counts are
-            # within [0, K], so the saturating add lands exactly on K.
-            refilled = _np.minimum(counts_matrix + caps_matrix, caps_matrix)
-            return refilled.tolist()
-        return caps

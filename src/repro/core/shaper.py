@@ -35,8 +35,7 @@ class MittsShaper(SourceLimiter):
 
     __slots__ = ("state", "replenisher", "method", "_last_release",
                  "_pending_bin", "_pending_stamp", "_last_confirmed_miss",
-                 "released", "stalled_requests", "total_stall_cycles",
-                 "refunds")
+                 "released", "refunds")
 
     METHOD_TIMESTAMP = 1
     METHOD_DEDUCT_REFUND = 2
@@ -65,8 +64,6 @@ class MittsShaper(SourceLimiter):
         self._last_confirmed_miss: Optional[int] = None
         # --- statistics ---
         self.released = 0
-        self.stalled_requests = 0
-        self.total_stall_cycles = 0
         self.refunds = 0
 
     # ------------------------------------------------------------------
@@ -169,12 +166,6 @@ class MittsShaper(SourceLimiter):
         self._last_release = cycle
         self.released += 1
 
-    def record_stall(self, cycles: int) -> None:
-        """Bookkeeping hook for the core model."""
-        if cycles > 0:
-            self.stalled_requests += 1
-            self.total_stall_cycles += cycles
-
     # ------------------------------------------------------------------
     # LLC feedback (hybrid operation, Section III-D)
 
@@ -243,7 +234,5 @@ class MittsShaper(SourceLimiter):
             "stall_forever": self.stall_forever(),
             "pending_entries": self.pending_entries,
             "released": self.released,
-            "stalled_requests": self.stalled_requests,
-            "total_stall_cycles": self.total_stall_cycles,
             "refunds": self.refunds,
         }

@@ -12,7 +12,7 @@ reproduces an uninterrupted one hash-for-hash
 
 On-disk format (versioned + checksummed, modelled on the result cache)::
 
-    repro-checkpoint-v1\n
+    repro-checkpoint-v2\n
     <sha256 hex of meta+body>\n
     <one-line JSON meta: version, cycle, cores, pending_events>\n
     <pickle body>
@@ -49,9 +49,12 @@ from typing import Callable, Iterator, Optional
 
 from ..analysis import contracts
 
-#: bump when the on-disk layout (not the pickled schema) changes
-CHECKPOINT_VERSION = 1
-_MAGIC = b"repro-checkpoint-v1\n"
+#: bump when the on-disk layout or the shape of the pickled object graph
+#: changes (slots or config fields added/removed), so an old file fails
+#: with :class:`CheckpointError` instead of a half-restored object
+CHECKPOINT_VERSION = 2
+_MAGIC_PREFIX = b"repro-checkpoint-v"
+_MAGIC = _MAGIC_PREFIX + b"%d\n" % CHECKPOINT_VERSION
 
 #: default cycles between periodic checkpoints in run_with_checkpoints
 DEFAULT_CHECKPOINT_INTERVAL = 50_000
@@ -105,6 +108,12 @@ def save_checkpoint(system, path) -> None:
 
 def _parse(raw: bytes, path: str):
     if not raw.startswith(_MAGIC):
+        head = raw.partition(b"\n")[0]
+        if head.startswith(_MAGIC_PREFIX):
+            version = head[len(_MAGIC_PREFIX):].decode("ascii", "replace")
+            raise CheckpointError(
+                f"{path!r} is checkpoint version {version}; this build "
+                f"reads version {CHECKPOINT_VERSION}")
         raise CheckpointError(f"{path!r} is not a repro checkpoint "
                               f"(bad magic)")
     rest = raw[len(_MAGIC):]

@@ -54,10 +54,9 @@ from .wheel import _MASK, SPAN, WheelEngine
 
 #: slots rebuilt from the trace on unpickle instead of being serialised --
 #: checkpoint files should not carry megabytes of derivable trace columns
-#: (or bound references into the component graph)
+#: (or a bound method of the request-id counter)
 _REBUILT_SLOTS = frozenset({"_works", "_addrs", "_iswrites", "_lines",
-                            "_rows", "_n", "_fast", "_next_rid",
-                            "_fused_llc", "_llc_pack"})
+                            "_rows", "_n", "_fast", "_next_rid"})
 
 
 class BatchedCoreModel(CoreModel):
@@ -68,6 +67,11 @@ class BatchedCoreModel(CoreModel):
     order, the same statistics.  When the trace cannot be materialised as
     columns (or the L1 geometry is not power-of-two) the instance simply
     runs the parent implementation.
+
+    ``_fused_llc``/``_llc_pack`` stay ``None`` unless the owning
+    :class:`~repro.sim.system.SimSystem` binds the core->LLC inline (it
+    knows whether the port sends straight into a fast
+    :class:`BatchedLLC` sharing this core's allocator and statistics).
     """
 
     __slots__ = ("_pos", "_works", "_addrs", "_iswrites", "_lines", "_rows",
@@ -76,6 +80,8 @@ class BatchedCoreModel(CoreModel):
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self._pos = 0
+        self._fused_llc = None
+        self._llc_pack = None
         self._bind_columns()
 
     def _bind_columns(self) -> None:
@@ -86,8 +92,6 @@ class BatchedCoreModel(CoreModel):
         counter = getattr(allocator, "_count", None)
         self._next_rid = counter.__next__ if counter is not None \
             else allocator
-        self._fused_llc = None
-        self._llc_pack = None
         columns = None
         l1 = self.l1
         # The fast loop schedules by direct bucket append, so it requires
@@ -112,30 +116,6 @@ class BatchedCoreModel(CoreModel):
             self._rows = columns.rows
             self._n = columns.length
             self._fast = True
-            # When the port sends straight into a fast BatchedLLC that
-            # shares this core's id allocator and statistics objects, the
-            # run loop may inline the lookup body (the demand-miss path's
-            # hottest callee).  Anything else -- a NoC sender, a hand-built
-            # rig with its own stats -- keeps the indirect call.
-            # ``getattr`` with defaults throughout: during checkpoint
-            # restore this can run while the port or LLC is still an
-            # empty shell (pickle builds cyclic graphs in heap-event
-            # order, and a parked port's wake event may reach this core
-            # through llc -> mc -> _respond_cores before the port's own
-            # state is set).  A shell simply fails the fusion test here;
-            # SimSystem.__setstate__ re-binds every core once the whole
-            # graph is restored, so the final binding is unaffected.
-            send = getattr(self.port, "send", None)
-            llc = getattr(send, "__self__", None)
-            cores = getattr(llc, "_stat_cores", None)
-            if (type(llc) is BatchedLLC and getattr(llc, "_fast", False)
-                    and getattr(send, "__func__", None) is BatchedLLC.lookup
-                    and getattr(llc, "_new_req_id", None) is allocator
-                    and cores is not None and self.core_id < len(cores)
-                    and cores[self.core_id] is self.stats):
-                self._fused_llc = llc
-                self._llc_pack = (llc._line_shift, llc._bank_mask,
-                                  llc.bank_busy, llc.hit_latency)
 
     # -- checkpointing: columns are derivable, so do not serialise them --
 
@@ -164,7 +144,7 @@ class BatchedCoreModel(CoreModel):
         identical ``(when, seq)`` allocation to ``engine.schedule`` minus
         the call.  The access body inlines :meth:`Cache.access` (same
         ``OrderedDict`` operations in the same order) and the unshaped
-        :meth:`ShaperPort._pump` drain (``shaper_stall_cycles`` gains
+        :meth:`ShaperPort._drain` (``shaper_stall_cycles`` gains
         ``now - now == 0`` on that path, so the add is skipped).
         """
         if self._blocked or self._running:
@@ -456,7 +436,7 @@ class BatchedMemoryController(MemoryController):
     """
 
     __slots__ = ("_coords", "_dshift", "_fast_select", "_skip_on_complete",
-                 "_timing_pack", "_respond_cores", "_respond_fast")
+                 "_timing_pack")
 
     def __init__(self, engine, dram: DramDevice,
                  scheduler: MemorySchedulerProtocol,
@@ -484,26 +464,6 @@ class BatchedMemoryController(MemoryController):
             timing.t_rp + timing.t_rcd + timing.t_bl,
             timing.row_hit_latency, timing.row_closed_latency,
             timing.row_conflict_latency)
-        #: core models indexed by core_id (installed by the system after
-        #: construction); lets ``_complete`` respond to the core directly
-        #: instead of going through the generic ``complete`` callback
-        self._respond_cores = None
-        self._respond_fast = False
-
-    def attach_cores(self, cores) -> None:
-        """Install the per-core response targets (fused completion path).
-
-        Only valid when the system's ``complete`` callback is equivalent
-        to "ignore writebacks, else ``cores[core_id].on_response``" --
-        exactly what :meth:`SimSystem._on_dram_complete` does.  When every
-        target is a :class:`BatchedCoreModel` with a power-of-two line
-        size, ``_complete`` additionally inlines the ``on_response`` body
-        (the completion event is the hottest callback in the system).
-        """
-        self._respond_cores = cores
-        self._respond_fast = all(
-            type(core) is BatchedCoreModel and core._line_shift is not None
-            for core in cores)
 
     def _dispatch(self) -> None:
         if not self._fast_select:
@@ -594,38 +554,16 @@ class BatchedMemoryController(MemoryController):
         self._inflight -= 1
         if self.probe is not None:
             self.probe.on_mc_complete(request, self.engine.now)
-        core_id = request.core_id
         cores = self._cores
-        demand = request.shaper_bin != -2
         if cores is not None:
-            cstats = cores[core_id]
-            if demand:
-                cstats.dram_requests += 1
-            else:
+            cstats = cores[request.core_id]
+            if request.shaper_bin == -2:
                 cstats.writebacks += 1
+            else:
+                cstats.dram_requests += 1
         if not self._skip_on_complete:
             self.scheduler.on_complete(request, self.engine.now)
-        respond = self._respond_cores
-        if respond is None:
-            self.complete(request)
-        elif demand:
-            core = respond[core_id]
-            if self._respond_fast:
-                # inline core.on_response(request): same stores and stat
-                # adds as CoreModel.on_response, minus the call frame
-                now = self.engine.now
-                core.outstanding.pop(
-                    request.address >> core._line_shift, None)
-                request.complete_cycle = now
-                cstats = core.stats
-                cstats.total_latency += now - request.l1_miss_cycle
-                cstats.post_shaper_latency += now - request.issue_cycle
-                if core._blocked:
-                    core._blocked = False
-                    cstats.memory_stall_cycles += now - core._block_start
-                    core._run()
-            else:
-                core.on_response(request)
+        self.complete(request)
         if self.overflow:
             self._refill_window()
         if self.queue:

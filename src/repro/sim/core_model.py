@@ -57,12 +57,12 @@ class ShaperPort:
         self._wakeup_at: Optional[int] = None
         self._parked = False
         self._wake_cb = self._wake
-        #: exact pass-through limiter: _pump may skip its no-op calls
+        #: exact pass-through limiter: _drain may skip its no-op calls
         self._unshaped = type(limiter) is NoLimiter
 
     def submit(self, request: MemoryRequest) -> None:
         self.queue.append(request)
-        self._pump()
+        self._drain()
 
     def submit_bypass(self, request: MemoryRequest) -> None:
         """Send without consuming shaper budget (L1 writeback traffic).
@@ -83,13 +83,13 @@ class ShaperPort:
         """Re-evaluate release times after an external state change."""
         self._wakeup_at = None
         self._parked = False
-        self._pump()
+        self._drain()
 
     @property
     def occupancy(self) -> int:
         return len(self.queue)
 
-    def _pump(self) -> None:
+    def _drain(self) -> None:
         """Release every request whose time has come; sleep until the next."""
         if self._parked:
             return
@@ -144,7 +144,7 @@ class ShaperPort:
     def _wake(self) -> None:
         if self._wakeup_at is not None and self.engine.now >= self._wakeup_at:
             self._wakeup_at = None
-            self._pump()
+            self._drain()
 
 
 class CoreModel:

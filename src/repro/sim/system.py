@@ -71,17 +71,13 @@ class SystemConfig:
     issue_width: int = 4
     #: MSHRs per core for the "window" core model (Table II)
     mshrs: int = 8
-    #: event kernel: "batched" (calendar-queue wheel + fused fast-path
-    #: components when contracts are off) or "heap" (the binary-heap
-    #: oracle engine with the original checked components).  Both produce
-    #: bit-identical results (pinned by the golden-fingerprint suite).
+    #: event kernel: "batched" (calendar-queue wheel; with contracts off
+    #: it also assembles the fused components of :mod:`repro.sim.batched`:
+    #: SoA trace replay, the DRAM coordinate table and the core->LLC
+    #: inline) or "heap" (the binary-heap oracle engine with the original
+    #: checked components).  Both produce bit-identical results (pinned by
+    #: the golden-fingerprint suite).
     kernel: str = "batched"
-    #: macro-tick shaper replenishment: "auto" attaches the vectorized
-    #: per-window pump when every shaper is eligible (see
-    #: :mod:`repro.core.macrotick`), "force" raises if not eligible,
-    #: "off" keeps lazy per-shaper replenishment.  Only active on the
-    #: fused batched path; bit-neutral either way.
-    macro_tick: str = "auto"
 
 
 #: Table II single-program configuration (64KB private L2).
@@ -180,7 +176,7 @@ class SimSystem:
 
     __slots__ = ("config", "engine", "request_ids", "scheduler", "stats",
                  "dram", "mc", "llc", "noc", "ports", "cores", "watchdog",
-                 "_pump", "_direct_respond", "_started")
+                 "_started")
 
     def __init__(self, traces: Sequence,
                  config: Optional[SystemConfig] = None,
@@ -304,61 +300,22 @@ class SimSystem:
                     f"unknown core model {self.config.core_model!r}")
             self.ports.append(port)
             self.cores.append(core)
-        if fused:
-            # Fused completion path: ``_on_dram_complete`` is exactly
-            # "ignore writebacks, else core.on_response", so the batched
-            # controller may respond to cores directly.
-            self.mc.attach_cores(self.cores)
-        #: ``_fast_hit`` may inline ``core.on_response`` (no NoC hop, all
-        #: cores batched with power-of-two lines)
-        self._direct_respond = (fused and self.noc is None and all(
-            type(core) is BatchedCoreModel and core._line_shift is not None
-            for core in self.cores))
+        if fused and self.noc is None and self.llc._fast:
+            # Ports send straight into the fast LLC, which shares the
+            # cores' request-id allocator and statistics objects, so each
+            # column-driven core may inline the lookup (the demand-miss
+            # path's hottest callee).  Decided here, once, where the whole
+            # graph is known; the binding pickles as plain slots.
+            llc = self.llc
+            pack = (llc._line_shift, llc._bank_mask, llc.bank_busy,
+                    llc.hit_latency)
+            for core in self.cores:
+                if type(core) is BatchedCoreModel and core._fast:
+                    core._fused_llc = llc
+                    core._llc_pack = pack
         #: optional forward-progress monitor (see repro.resilience.watchdog)
         self.watchdog = None
-        #: macro-tick replenishment pump (fused path only; may be None)
-        self._pump = None
-        macro_tick = self.config.macro_tick
-        if macro_tick not in ("auto", "force", "off"):
-            raise ValueError(
-                f"unknown macro_tick mode {macro_tick!r}; "
-                f"known: ('auto', 'force', 'off')")
-        if macro_tick != "off" and kernel == "batched":
-            from ..core.macrotick import MacroTickPump
-            if fused:
-                self._pump = MacroTickPump.attach(self, macro_tick)
-            elif macro_tick == "force" \
-                    and MacroTickPump.eligible(self) is None:
-                # Contracts runs never attach the pump, but an ineligible
-                # "force" must fail identically in both modes -- config
-                # validity cannot depend on REPRO_CONTRACTS.
-                raise ValueError(
-                    "macro_tick='force' requires every port limiter to be "
-                    "a method-2 MittsShaper with a ResetReplenisher "
-                    "sharing one period and one aligned boundary")
         self._started = False
-
-    def __setstate__(self, state) -> None:
-        """Checkpoint restore: default slot restore + column re-binding.
-
-        :meth:`BatchedCoreModel._bind_columns` consults the port and LLC
-        to decide its fusion level, but during a cyclic unpickle a core's
-        ``__setstate__`` can run while those objects are still stateless
-        shells (reached through a parked port's pending wake event), in
-        which case the core conservatively binds unfused.  The system is
-        the graph root, so its ``__setstate__`` runs last -- re-binding
-        here (idempotent, pure derivation) restores every core's fusion
-        against the fully restored graph.
-        """
-        plain, slots = state if isinstance(state, tuple) else (state, None)
-        for source in (plain, slots):
-            if source:
-                for name, value in source.items():
-                    setattr(self, name, value)
-        for core in self.cores:
-            rebind = getattr(core, "_bind_columns", None)
-            if rebind is not None:
-                rebind()
 
     def _mlp_for(self, trace, core_id: int,
                  mlps: Optional[Sequence[int]]) -> int:
@@ -405,9 +362,7 @@ class SimSystem:
 
     def _fast_hit(self, request: MemoryRequest) -> None:
         """Fused-path hit determination: ``_on_llc_determination`` with the
-        ``was_hit=True`` branch pre-selected (no per-event bool dispatch)
-        and -- on the direct-respond layout -- the ``core.on_response``
-        body inlined."""
+        ``was_hit=True`` branch pre-selected (no per-event bool dispatch)."""
         if request.shaper_bin == -2:
             return
         core_id = request.core_id
@@ -415,19 +370,7 @@ class SimSystem:
         if not port._unshaped:
             port.limiter.on_llc_response(request.req_id, True)
         core = self.cores[core_id]
-        if self._direct_respond:
-            # inline core.on_response(request) (CoreModel transcription)
-            now = self.engine.now
-            core.outstanding.pop(request.address >> core._line_shift, None)
-            request.complete_cycle = now
-            cstats = core.stats
-            cstats.total_latency += now - request.l1_miss_cycle
-            cstats.post_shaper_latency += now - request.issue_cycle
-            if core._blocked:
-                core._blocked = False
-                cstats.memory_stall_cycles += now - core._block_start
-                core._run()
-        elif self.noc is None:
+        if self.noc is None:
             core.on_response(request)
         else:
             from .noc import bank_tile

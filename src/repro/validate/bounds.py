@@ -125,9 +125,8 @@ def arrival_curve(config: BinConfig, outstanding: int,
     before the window whose hit/miss determination (and hence permanent
     credit consumption) lands inside it.  ``period`` is the replenisher's
     *live* period: a shaper may be pinned to a period other than the
-    config's natural ``T_r`` (staggered co-runners, the macro-tick pump's
-    shared boundary), and the envelope must use whichever period actually
-    gates the credit supply.
+    config's natural ``T_r`` (e.g. staggered co-runners), and the envelope
+    must use whichever period actually gates the credit supply.
     """
     total = config.total_credits
     if period is None:

@@ -12,6 +12,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.analysis import contracts
 from repro.core.bins import BinConfig
 from repro.core.shaper import MittsShaper
 from repro.sched.base import FrFcfsScheduler
@@ -52,11 +53,6 @@ class TestKernelSelection:
         with pytest.raises(ValueError, match="kernel"):
             SimSystem(workload_traces(1, seed=3), config=config)
 
-    def test_unknown_macro_tick_mode_rejected(self):
-        config = replace(SCALED_MULTI_CONFIG, macro_tick="sometimes")
-        with pytest.raises(ValueError, match="macro_tick"):
-            SimSystem(workload_traces(1, seed=3), config=config)
-
 
 class TestSnapshotEquality:
     """Full snapshot documents match between kernels, field for field."""
@@ -86,15 +82,13 @@ class TestSnapshotEquality:
         assert snapshots["heap"] == snapshots["batched"]
 
     def test_shaped_aligned_phases(self):
-        # Aligned phases make the macro-tick pump eligible under the
-        # batched kernel, so this pair exercises pump-vs-lazy on top of
-        # wheel-vs-heap.
+        # Aligned phases: every shaper crosses its T_r boundary on the
+        # same cycle.
         snapshots = self._run_pair(lambda k: _shaped_system(k))
         assert snapshots["heap"] == snapshots["batched"]
 
     def test_shaped_staggered_phases(self):
-        # Staggered phases (anti-lockstep) have no common boundary: the
-        # pump must stay off and the lazy path must still match the heap.
+        # Staggered phases (anti-lockstep) have no common boundary.
         snapshots = self._run_pair(
             lambda k: _shaped_system(k, phase_stride=17))
         assert snapshots["heap"] == snapshots["batched"]
@@ -120,12 +114,20 @@ class TestBatchedCheckpoint:
         path = tmp_path / "batched.ckpt"
         system.save_checkpoint(path)
         resumed = SimSystem.load_checkpoint(path)
+        if not contracts.is_enabled():
+            # The core->LLC inline is decided once in SimSystem.__init__
+            # and pickles as plain slots: a restored core must point at
+            # the restored LLC.
+            assert all(core._fused_llc is system.llc
+                       for core in system.cores)
+            assert all(core._fused_llc is resumed.llc
+                       for core in resumed.cores)
         resumed.run(CYCLES - CYCLES // 2)
         assert resumed.stats.snapshot() == reference.stats.snapshot()
 
     def test_shaped_roundtrip_matches_heap(self, tmp_path):
-        # Checkpoint mid-window with the pump scheduled, restore, run to
-        # the horizon: the result must still equal the heap kernel's.
+        # Checkpoint mid-window with aligned shapers, restore, run to the
+        # horizon: the result must still equal the heap kernel's.
         heap_system = _shaped_system("heap")
         heap_system.run(CYCLES)
 

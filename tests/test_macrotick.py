@@ -1,18 +1,18 @@
-"""Macro-tick shaper replenishment: eligibility, equivalence, dormancy.
+"""Aligned-shaper eligibility and heap-vs-batched equality at ``T_r`` edges.
 
-The pump (:class:`~repro.core.macrotick.MacroTickPump`) is a pure
-optimisation: one vectorized reset of every shaper's credit matrix at the
-common ``T_r`` boundary instead of per-shaper lazy catch-up.  Every test
-here pins the bit-neutrality claim -- pumped and lazy runs must agree on
-the full statistics snapshot -- and the edges where the pump must *not*
-act: staggered phases, foreign limiters, and mid-run reconfiguration.
+:meth:`~repro.core.macrotick.MacroTickPump.eligible` classifies a system's
+shapers: phase-aligned method-2 reset shapers share one ``(period,
+next_boundary)``; staggered phases, foreign limiters and unshaped ports do
+not.  Replenishment itself has one path -- the lazy
+:class:`~repro.core.replenish.ResetReplenisher` clock inside every shaper
+decision -- so the equality tests here pin the batched kernel to the heap
+oracle across window boundaries, periodic observers and a mid-run limiter
+swap.  (Plain aligned-shaper equality and the aligned checkpoint
+round-trip live in ``tests/test_batched_kernel.py``.)
 """
 
 from dataclasses import replace
 
-import pytest
-
-from repro.analysis import contracts
 from repro.core.bins import BinConfig
 from repro.core.limiter import NoLimiter
 from repro.core.macrotick import MacroTickPump
@@ -25,19 +25,10 @@ from repro.workloads.mixes import workload_traces
 CYCLES = 60_000
 CREDITS = [4, 4, 3, 3, 2, 2, 1, 1, 1, 1]
 
-#: contracts runs use the checked components and never attach the pump,
-#: so pump-presence assertions only hold with contracts off (equivalence
-#: and validation tests run in both modes)
-needs_fused = pytest.mark.skipif(
-    contracts.is_enabled(),
-    reason="pump attaches only on the fused (contracts-off) path")
 
-
-def _build(macro_tick: str = "auto", kernel: str = "batched",
-           phase_stride: int = 0, mix: int = 2) -> SimSystem:
-    traces = workload_traces(mix, seed=5)
-    config = replace(SCALED_MULTI_CONFIG, kernel=kernel,
-                     macro_tick=macro_tick)
+def _build(kernel: str = "batched", phase_stride: int = 0) -> SimSystem:
+    traces = workload_traces(2, seed=5)
+    config = replace(SCALED_MULTI_CONFIG, kernel=kernel)
     limiters = [MittsShaper(BinConfig.from_credits(CREDITS),
                             phase=phase_stride * i)
                 for i in range(len(traces))]
@@ -46,62 +37,39 @@ def _build(macro_tick: str = "auto", kernel: str = "batched",
 
 
 class TestEligibility:
-    @needs_fused
-    def test_attaches_on_aligned_mitts_shapers(self):
-        system = _build("auto")
-        assert system._pump is not None
-        period = system.ports[0].limiter.replenisher.period
-        assert system._pump.period == period
+    def test_aligned_mitts_shapers_eligible(self):
+        system = _build()
+        replenisher = system.ports[0].limiter.replenisher
+        assert MacroTickPump.eligible(system) \
+            == (replenisher.period, replenisher._next)
 
     def test_staggered_phases_stay_lazy(self):
-        assert _build("auto", phase_stride=17)._pump is None
+        assert MacroTickPump.eligible(_build(phase_stride=17)) is None
 
-    def test_off_mode_never_attaches(self):
-        assert _build("off")._pump is None
-
-    def test_heap_kernel_never_attaches(self):
-        assert _build("auto", kernel="heap")._pump is None
+    def test_heap_kernel_same_verdict(self):
+        # The predicate reads the limiters only; the kernel is irrelevant.
+        assert MacroTickPump.eligible(_build(kernel="heap")) \
+            == MacroTickPump.eligible(_build())
 
     def test_unshaped_ports_stay_lazy(self):
-        config = replace(SCALED_MULTI_CONFIG, macro_tick="auto")
-        system = SimSystem(workload_traces(1, seed=5), config=config)
-        assert system._pump is None
+        system = SimSystem(workload_traces(1, seed=5),
+                           config=SCALED_MULTI_CONFIG)
+        assert MacroTickPump.eligible(system) is None
 
-    def test_force_on_ineligible_raises(self):
-        with pytest.raises(ValueError, match="macro_tick"):
-            _build("force", phase_stride=17)
-
-    @needs_fused
-    def test_force_on_eligible_attaches(self):
-        assert _build("force")._pump is not None
+    def test_limiter_swap_breaks_alignment(self):
+        system = _build()
+        system.set_limiter(0, NoLimiter())
+        assert MacroTickPump.eligible(system) is None
 
 
 class TestEquivalence:
-    def test_pumped_matches_lazy(self):
-        pumped = _build("auto")
-        lazy = _build("off")
-        if not contracts.is_enabled():
-            assert pumped._pump is not None
-        pumped.run(CYCLES)
-        lazy.run(CYCLES)
-        assert pumped.stats.snapshot() == lazy.stats.snapshot()
-
-    def test_pumped_matches_heap_kernel(self):
-        pumped = _build("auto")
-        heap = _build(kernel="heap")
-        pumped.run(CYCLES)
-        heap.run(CYCLES)
-        assert pumped.stats.snapshot() == heap.stats.snapshot()
-
     def test_every_crossing_macro_tick_boundaries(self):
         # A periodic observer whose period exceeds both T_r and the wheel
-        # span: its callbacks ride the overflow heap, interleave with pump
-        # ticks, and must fire at exactly the same cycles as under the
-        # lazy path without perturbing the run.  (Raw ``state.counts``
-        # between a boundary and the next decision is the one documented
-        # pumped-vs-lazy difference, so the observer reads time only.)
-        def drive(macro_tick):
-            system = _build(macro_tick)
+        # span: its callbacks ride the overflow heap, interleave with the
+        # shapers' window boundaries, and must fire at exactly the same
+        # cycles under both kernels without perturbing the run.
+        def drive(kernel):
+            system = _build(kernel)
             period = SPAN + 1000
             observed = []
             system.every(period,
@@ -109,23 +77,20 @@ class TestEquivalence:
             system.run(CYCLES)
             return observed, system.stats.snapshot()
 
-        pumped_log, pumped_snapshot = drive("auto")
-        lazy_log, lazy_snapshot = drive("off")
-        assert pumped_log \
-            == [(i + 1) * (SPAN + 1000) for i in range(len(pumped_log))]
-        assert len(pumped_log) == CYCLES // (SPAN + 1000)
-        assert pumped_log == lazy_log
-        assert pumped_snapshot == lazy_snapshot
+        batched_log, batched_snapshot = drive("batched")
+        heap_log, heap_snapshot = drive("heap")
+        assert batched_log \
+            == [(i + 1) * (SPAN + 1000) for i in range(len(batched_log))]
+        assert len(batched_log) == CYCLES // (SPAN + 1000)
+        assert batched_log == heap_log
+        assert batched_snapshot == heap_snapshot
 
-
-class TestDormancy:
-    def test_limiter_swap_sends_pump_dormant(self):
+    def test_limiter_swap_matches_heap_kernel(self):
         # Swapping one port's limiter mid-run (the online tuner's move)
-        # breaks the common boundary; the pump must stop rescheduling and
-        # the run must still match a never-pumped system that underwent
-        # the identical swap.
-        def drive(macro_tick):
-            system = _build(macro_tick)
+        # breaks the common boundary; both kernels must agree on the run
+        # that follows.
+        def drive(kernel):
+            system = _build(kernel)
             swap_at = system.ports[0].limiter.replenisher.period * 3 + 7
 
             def swap():
@@ -135,27 +100,6 @@ class TestDormancy:
             system.run(CYCLES)
             return system
 
-        pumped = drive("auto")
-        lazy = drive("off")
-        assert pumped.stats.snapshot() == lazy.stats.snapshot()
-
-    @needs_fused
-    def test_dormant_pump_stops_rescheduling(self):
-        system = _build("auto")
-        pump = system._pump
-        system.set_limiter(0, NoLimiter())
-        boundary = system.ports[1].limiter.replenisher._next
-        system.run(boundary + 2 * pump.period)
-        # After going dormant the pump schedules no further ticks: only
-        # lazy replenishment advances the remaining shapers' clocks.
-        assert MacroTickPump.eligible(system) is None
-
-
-class TestReplenishedRows:
-    def test_batched_rows_match_scalar_reset(self):
-        shapers = [MittsShaper(BinConfig.from_credits(CREDITS))
-                   for _ in range(4)]
-        for index, shaper in enumerate(shapers):
-            shaper.state.counts = [max(0, c - index) for c in CREDITS]
-        rows = MacroTickPump._replenished_rows(shapers)
-        assert rows == [list(CREDITS)] * len(shapers)
+        batched = drive("batched")
+        heap = drive("heap")
+        assert batched.stats.snapshot() == heap.stats.snapshot()

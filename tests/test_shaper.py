@@ -73,13 +73,6 @@ class TestStallAndAging:
         assert shaper.stall_forever()
         assert shaper.earliest_issue(0) is None
 
-    def test_record_stall_accumulates(self):
-        shaper = shaper_with([1] + [0] * 9)
-        shaper.record_stall(10)
-        shaper.record_stall(0)
-        assert shaper.stalled_requests == 1
-        assert shaper.total_stall_cycles == 10
-
 
 class TestReplenishment:
     def test_credits_return_after_period(self):
