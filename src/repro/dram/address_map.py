@@ -138,50 +138,6 @@ class AddressMapper:
         return (coords.channel * timing.ranks_per_channel
                 + coords.rank) * timing.banks_per_rank + coords.bank
 
-    def map_lines(self, lines):
-        """Vectorized :meth:`map` over an array of DRAM line numbers.
-
-        ``lines`` is a numpy integer array of ``address // line_bytes``
-        values; returns ``(flat_bank, row, channel)`` arrays with the same
-        shape, where ``flat_bank`` matches :meth:`flat_index`.  This is the
-        batched kernel's one-shot coordinate precomputation: the per-trace
-        address column is mapped in a handful of array shift/mask ops
-        instead of one :meth:`map` call per DRAM service.  Non-power-of-two
-        geometries fall back to a scalar loop over :meth:`map` (identical
-        results, just not vectorized).
-        """
-        timing = self.timing
-        pow2 = self._pow2
-        if pow2 is None:
-            triples = [self.map(int(line) * timing.line_bytes)
-                       for line in lines]
-            flat = [self.flat_index(c) for c in triples]
-            row = [c.row for c in triples]
-            channel = [c.channel for c in triples]
-            return flat, row, channel
-        (_line_s, _), (col_s, col_m), (bank_s, bank_m), \
-            (rank_s, rank_m), (chan_s, chan_m) = pow2
-        work = lines
-        if self.scheme == "row":
-            work = work >> col_s
-            bank = work & bank_m
-            work = work >> bank_s
-            rank = work & rank_m
-            work = work >> rank_s
-            channel = work & chan_m
-            row = work >> chan_s
-        else:
-            channel = work & chan_m
-            work = work >> chan_s
-            bank = work & bank_m
-            work = work >> bank_s
-            rank = work & rank_m
-            work = work >> rank_s
-            row = work >> col_s
-        flat = (channel * timing.ranks_per_channel
-                + rank) * timing.banks_per_rank + bank
-        return flat, row, channel
-
     def bank_index(self, address: int) -> int:
         """Flat bank index in ``range(timing.total_banks)``."""
         return self.flat_index(self.map(address))

@@ -5,8 +5,8 @@ The heap engine's component graph (``CoreModel -> ShaperPort -> SharedLLC
 Python call chain per simulated access.  The subclasses here collapse those
 chains when -- and only when -- the collapse is provably bit-identical:
 
-* :class:`BatchedCoreModel` replays its trace from struct-of-arrays
-  columns (:mod:`repro.sim.soa`) instead of the iterator protocol and
+* :class:`BatchedCoreModel` replays its trace from precomputed rows
+  (:mod:`repro.sim.soa`) instead of the iterator protocol and
   inlines the L1 lookup (the ``OrderedDict`` set operations of
   :class:`~repro.sim.cache.Cache.access`) plus the pass-through
   :class:`~repro.sim.core_model.ShaperPort` drain into its run loop.  Per-
@@ -39,7 +39,7 @@ check still runs.
 from __future__ import annotations
 
 from heapq import heappush as _heappush
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, FrozenSet, Optional, Sequence
 
 from ..dram.device import DramDevice
 from .core_model import CoreModel
@@ -47,25 +47,47 @@ from .engine import _NO_ARG
 from .llc import SharedLLC
 from .memctrl import MemoryController, MemorySchedulerProtocol
 from .request import MemoryRequest
-from .soa import trace_columns
+from .soa import dram_coord_table, trace_columns
 from .stats import SystemStats
 from .wheel import _MASK, SPAN, WheelEngine
 
 
-#: slots rebuilt from the trace on unpickle instead of being serialised --
-#: checkpoint files should not carry megabytes of derivable trace columns
-#: (or a bound method of the request-id counter)
-_REBUILT_SLOTS = frozenset({"_works", "_addrs", "_iswrites", "_lines",
-                            "_rows", "_n", "_fast", "_next_rid"})
+class DerivedSlots:
+    """Pickle every slot except the derived ones; re-derive on restore.
+
+    The one checkpoint rule for state that can be rebuilt: the replay
+    rows and DRAM coordinate tables :mod:`repro.sim.soa` memoizes per
+    trace (megabytes that checkpoints should not carry) and bindings
+    that cannot pickle (a bound ``__next__`` of the request-id counter).
+    Subclasses name those slots in ``_DERIVED`` and rebuild them in a
+    ``_derive()`` method, which they also call at construction.
+    """
+
+    __slots__ = ()
+
+    _DERIVED: FrozenSet[str] = frozenset()
+
+    def __getstate__(self):
+        state = {}
+        for klass in type(self).__mro__:
+            for name in getattr(klass, "__slots__", ()):
+                if name not in self._DERIVED and hasattr(self, name):
+                    state[name] = getattr(self, name)
+        return state
+
+    def __setstate__(self, state) -> None:
+        for name, value in state.items():
+            setattr(self, name, value)
+        self._derive()
 
 
-class BatchedCoreModel(CoreModel):
-    """Trace-replaying core over SoA columns with an inlined L1 path.
+class BatchedCoreModel(DerivedSlots, CoreModel):
+    """Trace-replaying core over precomputed rows with an inlined L1 path.
 
     Behaviour is bit-identical to :class:`~repro.sim.core_model.CoreModel`:
     the same accesses at the same cycles, the same request-id allocation
     order, the same statistics.  When the trace cannot be materialised as
-    columns (or the L1 geometry is not power-of-two) the instance simply
+    rows (or the L1 geometry is not power-of-two) the instance simply
     runs the parent implementation.
 
     ``_fused_llc``/``_llc_pack`` stay ``None`` unless the owning
@@ -74,70 +96,48 @@ class BatchedCoreModel(CoreModel):
     :class:`BatchedLLC` sharing this core's allocator and statistics).
     """
 
-    __slots__ = ("_pos", "_works", "_addrs", "_iswrites", "_lines", "_rows",
-                 "_n", "_fast", "_next_rid", "_fused_llc", "_llc_pack")
+    __slots__ = ("_pos", "_rows", "_n", "_fast", "_next_rid", "_fused_llc",
+                 "_llc_pack")
+
+    _DERIVED = frozenset({"_rows", "_n", "_fast", "_next_rid"})
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self._pos = 0
         self._fused_llc = None
         self._llc_pack = None
-        self._bind_columns()
+        self._derive()
+        if self._fast:
+            # The replay position lives in ``_pos``: the iterator is never
+            # read, and dropping it keeps the trace out of checkpoints.
+            self._iter = None
 
-    def _bind_columns(self) -> None:
-        """(Re)derive the SoA columns; clears the fast flag on failure."""
+    def _derive(self) -> None:
+        """(Re)derive the replay rows; clears the fast flag on failure."""
         # Request ids come from ``next()`` on the allocator's raw counter
         # (one C call) instead of the allocator's ``__call__`` frame.
         allocator = self._new_req_id
         counter = getattr(allocator, "_count", None)
         self._next_rid = counter.__next__ if counter is not None \
             else allocator
-        columns = None
+        rows = None
         l1 = self.l1
         # The fast loop schedules by direct bucket append, so it requires
         # the wheel engine (the only engine fused systems assemble).
         if (self._line_shift is not None and l1._set_mask is not None
                 and l1._line_shift == self._line_shift
                 and type(self.engine) is WheelEngine):
-            columns = trace_columns(self.trace, self.line_bytes)
-        if columns is None:
-            self._works = None
-            self._addrs = None
-            self._iswrites = None
-            self._lines = None
-            self._rows = None
-            self._n = 0
-            self._fast = False
-        else:
-            self._works = columns.works
-            self._addrs = columns.addrs
-            self._iswrites = columns.iswrites
-            self._lines = columns.lines
-            self._rows = columns.rows
-            self._n = columns.length
-            self._fast = True
-
-    # -- checkpointing: columns are derivable, so do not serialise them --
-
-    def __getstate__(self):
-        state = {}
-        for klass in type(self).__mro__:
-            for name in getattr(klass, "__slots__", ()):
-                if name not in _REBUILT_SLOTS and hasattr(self, name):
-                    state[name] = getattr(self, name)
-        return state
-
-    def __setstate__(self, state) -> None:
-        for name, value in state.items():
-            setattr(self, name, value)
-        self._bind_columns()
+            rows = trace_columns(self.trace, self.line_bytes)
+        self._rows = rows
+        self._n = len(rows) if rows is not None else 0
+        self._fast = rows is not None
 
     # ------------------------------------------------------------------
 
     def _run(self) -> None:
-        """Column-driven transcription of :meth:`CoreModel._run`.
+        """Row-driven transcription of :meth:`CoreModel._run`.
 
-        Shaped for the dominant activation: one access, one column fetch,
+        Shaped for the dominant activation: one access, one row fetch,
         one self-reschedule.  Attributes are read on demand instead of
         bulk-bound up front (an activation touches each at most once), and
         the self-reschedule appends straight into the wheel bucket --
@@ -422,39 +422,37 @@ class BatchedLLC(SharedLLC):
             engine.schedule(respond_at, self.forward_miss, writeback)
 
 
-class BatchedMemoryController(MemoryController):
+class BatchedMemoryController(DerivedSlots, MemoryController):
     """Memory controller with head-select dispatch over precomputed
     DRAM coordinates.
 
     The fast dispatch requires (a) a scheduler that always selects the
     queue head (``selects_head``, i.e. strict FCFS order) and (b) the
     coordinate table covering the request's address; otherwise it falls
-    back to the generic select/map/service path per request.  The inlined
-    bank state machine is :meth:`repro.dram.bank.Bank.access` with the
-    timing sums precomputed, followed by the channel-bus serialisation of
-    :meth:`repro.dram.device.DramDevice.service`.
+    back to the generic select/map/service path per request.  The table
+    is the union of the memoized per-trace tables of ``traces``.  The
+    inlined bank state machine is :meth:`repro.dram.bank.Bank.access`
+    with the timing sums precomputed, followed by the channel-bus
+    serialisation of :meth:`repro.dram.device.DramDevice.service`.
     """
 
-    __slots__ = ("_coords", "_dshift", "_fast_select", "_skip_on_complete",
-                 "_timing_pack")
+    __slots__ = ("_traces", "_coords", "_dshift", "_fast_select",
+                 "_skip_on_complete", "_timing_pack")
+
+    _DERIVED = frozenset({"_coords", "_fast_select"})
 
     def __init__(self, engine, dram: DramDevice,
                  scheduler: MemorySchedulerProtocol,
                  complete: Callable[[MemoryRequest], None],
+                 traces: Sequence,
                  queue_depth: int = 32,
-                 stats: Optional[SystemStats] = None,
-                 coord_table: Optional[
-                     Dict[int, Tuple[int, int, int]]] = None) -> None:
+                 stats: Optional[SystemStats] = None) -> None:
         super().__init__(engine, dram, scheduler, complete,
                          queue_depth=queue_depth, stats=stats)
-        self._coords = coord_table
+        self._traces = tuple(traces)
         timing = dram.timing
-        line_bytes = timing.line_bytes
-        self._dshift = line_bytes.bit_length() - 1 \
-            if line_bytes & (line_bytes - 1) == 0 else None
-        self._fast_select = bool(getattr(scheduler, "selects_head", False)) \
-            and coord_table is not None and self._dshift is not None \
-            and type(engine) is WheelEngine
+        # only read on the fast path, whose table needs a power-of-two line
+        self._dshift = timing.line_bytes.bit_length() - 1
         self._skip_on_complete = (type(scheduler).on_complete
                                   is MemorySchedulerProtocol.on_complete)
         #: one tuple read + unpack per dispatch instead of nine attr reads
@@ -464,6 +462,24 @@ class BatchedMemoryController(MemoryController):
             timing.t_rp + timing.t_rcd + timing.t_bl,
             timing.row_hit_latency, timing.row_closed_latency,
             timing.row_conflict_latency)
+        self._derive()
+
+    def _derive(self) -> None:
+        """(Re)build the coordinate table; only the fast dispatch reads it."""
+        coords = None
+        if getattr(self.scheduler, "selects_head", False) \
+                and type(self.engine) is WheelEngine:
+            dram = self.dram
+            coords = {}
+            for trace in self._traces:
+                table = dram_coord_table(trace, dram.timing,
+                                         dram.mapper.scheme)
+                if table is None:
+                    coords = None
+                    break
+                coords.update(table)
+        self._coords = coords
+        self._fast_select = coords is not None
 
     def _dispatch(self) -> None:
         if not self._fast_select:

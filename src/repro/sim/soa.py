@@ -1,66 +1,39 @@
-"""Struct-of-arrays trace columns for the batched simulation kernel.
+"""Derivable per-trace tables for the batched simulation kernel.
 
 The heap kernel replays traces through the iterator protocol and derives
 everything per access: line number, cache set, DRAM coordinates.  The
-batched kernel instead precomputes the derived values *once per trace* as
-parallel columns -- ``works`` / ``addrs`` / ``iswrites`` / ``lines`` --
-using numpy int64 array ops over the whole event stream (one vectorized
-shift instead of one Python shift per replayed access), plus a DRAM
-coordinate table mapping every distinct line to its
-``(flat_bank, row, channel)`` triple via
-:meth:`~repro.dram.address_map.AddressMapper.map_lines`.
+batched kernel instead precomputes two tables *once per trace*:
 
-Columns are converted back to plain Python scalars (``ndarray.tolist``)
-before they leave this module: the hot loops index them as ordinary lists
-(CPython list indexing beats numpy scalar extraction), and no ``np.int64``
-ever reaches a statistic, a fingerprint, or a JSON document.
+* the replay rows -- one ``(work, address, is_write, line)`` tuple per
+  event, so the core's run loop fetches an access with one index plus an
+  unpack;
+* the DRAM coordinate table -- every distinct line mapped to its
+  ``(flat_bank, row, channel)`` triple.
 
-Everything here is memoized per ``(profile, seed)`` -- the same key the
-trace generator's own memo uses -- because the same seeded trace drives
-many systems (slowdown baselines, benchmark repeats, GA evaluations).
-numpy is optional: without it the columns are built by plain Python loops
-with identical results.
+Both are built by plain Python loops over plain ``int``/``bool`` values
+and memoized per ``(profile, seed)`` -- the same key the trace generator's
+own memo uses -- because the same seeded trace drives many systems
+(slowdown baselines, benchmark repeats, GA evaluations).  Components only
+hold references to these tables; since they are derivable from the trace,
+checkpoints never carry them (see :class:`repro.sim.batched.DerivedSlots`).
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..dram.address_map import AddressMapper
 from ..dram.timing import DramTiming
 
-try:  # pragma: no cover - exercised implicitly by every batched run
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the toolchain
-    _np = None
+#: one replayed access: ``(work, address, is_write, line)``
+Row = Tuple[int, int, bool, int]
 
 #: bounded memos (same policy as the trace generator's stream memo)
-_COLUMN_MEMO: "OrderedDict[Tuple, TraceColumns]" = OrderedDict()
+_ROW_MEMO: "OrderedDict[Tuple, List[Row]]" = OrderedDict()
 _COORD_MEMO: "OrderedDict[Tuple, Dict[int, Tuple[int, int, int]]]" = \
     OrderedDict()
 _MEMO_MAX = 64
-
-
-class TraceColumns(NamedTuple):
-    """Parallel per-event columns of one trace (do not mutate)."""
-
-    #: compute gap before each access, in cycles
-    works: List[int]
-    #: byte address of each access
-    addrs: List[int]
-    #: write flag of each access
-    iswrites: List[bool]
-    #: cache-line number (``address >> log2(line_bytes)``)
-    lines: List[int]
-    #: zipped ``(work, address, is_write, line)`` rows -- the core's run
-    #: loop fetches one row per access (one index plus an unpack) instead
-    #: of four column indexings
-    rows: List[Tuple[int, int, bool, int]]
-
-    @property
-    def length(self) -> int:
-        return len(self.works)
 
 
 def _shift_for(value: int) -> Optional[int]:
@@ -88,13 +61,13 @@ def _memo_put(memo: OrderedDict, key: Tuple, value) -> None:
         memo.popitem(last=False)
 
 
-def trace_columns(trace, line_bytes: int) -> Optional[TraceColumns]:
-    """Build (or fetch) the SoA columns of ``trace``.
+def trace_columns(trace, line_bytes: int) -> Optional[List[Row]]:
+    """Build (or fetch) the replay rows of ``trace``.
 
-    Returns ``None`` when the trace cannot be materialised as columns
-    (non-power-of-two line size, or events that are not 4-field
-    ``(work, address, is_write, depends)`` records); callers fall back to
-    the iterator-driven core model in that case.
+    Returns ``None`` when the trace cannot be materialised as rows
+    (non-power-of-two line size, or events that are not
+    ``(work, address, is_write, ...)`` records); callers fall back to the
+    iterator-driven core model in that case.
     """
     shift = _shift_for(line_bytes)
     if shift is None:
@@ -102,50 +75,22 @@ def trace_columns(trace, line_bytes: int) -> Optional[TraceColumns]:
     key = trace_key(trace)
     memo_key = (key, shift) if key is not None else None
     if memo_key is not None:
-        cached = _COLUMN_MEMO.get(memo_key)
+        cached = _ROW_MEMO.get(memo_key)
         if cached is not None:
             return cached
+    rows: List[Row] = []
     try:
-        events = tuple(iter(trace))
-    except TypeError:
-        return None
-    if not events:
-        return None
-    columns = _build_columns(events, shift)
-    if columns is not None and memo_key is not None:
-        _memo_put(_COLUMN_MEMO, memo_key, columns)
-    return columns
-
-
-def _build_columns(events: Tuple, shift: int) -> Optional[TraceColumns]:
-    if _np is not None:
-        try:
-            table = _np.array(events, dtype=_np.int64)
-        except (TypeError, ValueError):
-            return None
-        if table.ndim != 2 or table.shape[1] < 3:
-            return None
-        addrs_col = table[:, 1]
-        works = table[:, 0].tolist()
-        addrs = addrs_col.tolist()
-        iswrites = (table[:, 2] != 0).tolist()
-        lines = (addrs_col >> shift).tolist()
-        return TraceColumns(works, addrs, iswrites, lines,
-                            list(zip(works, addrs, iswrites, lines)))
-    works: List[int] = []
-    addrs: List[int] = []
-    iswrites: List[bool] = []
-    lines: List[int] = []
-    try:
-        for event in events:
-            works.append(int(event[0]))
-            addrs.append(int(event[1]))
-            iswrites.append(bool(event[2]))
-            lines.append(int(event[1]) >> shift)
+        for event in trace:
+            address = int(event[1])
+            rows.append((int(event[0]), address, bool(event[2]),
+                         address >> shift))
     except (TypeError, IndexError):
         return None
-    return TraceColumns(works, addrs, iswrites, lines,
-                        list(zip(works, addrs, iswrites, lines)))
+    if not rows:
+        return None
+    if memo_key is not None:
+        _memo_put(_ROW_MEMO, memo_key, rows)
+    return rows
 
 
 def dram_coord_table(trace, timing: DramTiming,
@@ -159,31 +104,22 @@ def dram_coord_table(trace, timing: DramTiming,
     address outside the table, so the table is a pure accelerator, never a
     correctness dependency.
     """
-    dshift = _shift_for(timing.line_bytes)
-    if dshift is None:
-        return None
     key = trace_key(trace)
     memo_key = (key, timing, scheme) if key is not None else None
     if memo_key is not None:
         cached = _COORD_MEMO.get(memo_key)
         if cached is not None:
             return cached
-    columns = trace_columns(trace, timing.line_bytes)
-    if columns is None:
+    rows = trace_columns(trace, timing.line_bytes)
+    if rows is None:
         return None
     mapper = AddressMapper(timing, scheme=scheme)
-    if _np is not None:
-        unique = _np.unique(_np.array(columns.lines, dtype=_np.int64))
-        flat, row, channel = mapper.map_lines(unique)
-        table = dict(zip(unique.tolist(),
-                         zip(flat.tolist(), row.tolist(), channel.tolist())))
-    else:
-        table = {}
-        line_bytes = timing.line_bytes
-        for line in set(columns.lines):
-            coords = mapper.map(line * line_bytes)
-            table[line] = (mapper.flat_index(coords), coords.row,
-                           coords.channel)
+    line_bytes = timing.line_bytes
+    table = {}
+    for line in {row[3] for row in rows}:
+        coords = mapper.map(line * line_bytes)
+        table[line] = (mapper.flat_index(coords), coords.row,
+                       coords.channel)
     if memo_key is not None:
         _memo_put(_COORD_MEMO, memo_key, table)
     return table

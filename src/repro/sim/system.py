@@ -31,7 +31,6 @@ from .engine import Engine
 from .llc import SharedLLC
 from .memctrl import MemoryController, MemorySchedulerProtocol
 from .request import MemoryRequest, RequestIdAllocator
-from .soa import dram_coord_table
 from .stats import CoreStats, SystemStats
 from .wheel import WheelEngine
 
@@ -73,7 +72,7 @@ class SystemConfig:
     mshrs: int = 8
     #: event kernel: "batched" (calendar-queue wheel; with contracts off
     #: it also assembles the fused components of :mod:`repro.sim.batched`:
-    #: SoA trace replay, the DRAM coordinate table and the core->LLC
+    #: row-table trace replay, the DRAM coordinate table and the core->LLC
     #: inline) or "heap" (the binary-heap oracle engine with the original
     #: checked components).  Both produce bit-identical results (pinned by
     #: the golden-fingerprint suite).
@@ -214,19 +213,10 @@ class SimSystem:
         self.dram = DramDevice(self.config.timing,
                                mapping_scheme=self.config.dram_mapping)
         if fused:
-            coord_table = {}
-            for trace in traces:
-                sub = dram_coord_table(trace, self.config.timing,
-                                       self.config.dram_mapping)
-                if sub is None:
-                    coord_table = None
-                    break
-                coord_table.update(sub)
             self.mc = BatchedMemoryController(
                 self.engine, self.dram, self.scheduler,
-                complete=self._on_dram_complete,
-                queue_depth=self.config.mc_queue_depth, stats=self.stats,
-                coord_table=coord_table)
+                complete=self._on_dram_complete, traces=traces,
+                queue_depth=self.config.mc_queue_depth, stats=self.stats)
         else:
             self.mc = MemoryController(
                 self.engine, self.dram, self.scheduler,
@@ -303,7 +293,7 @@ class SimSystem:
         if fused and self.noc is None and self.llc._fast:
             # Ports send straight into the fast LLC, which shares the
             # cores' request-id allocator and statistics objects, so each
-            # column-driven core may inline the lookup (the demand-miss
+            # row-driven core may inline the lookup (the demand-miss
             # path's hottest callee).  Decided here, once, where the whole
             # graph is known; the binding pickles as plain slots.
             llc = self.llc

@@ -122,8 +122,27 @@ class TestBatchedCheckpoint:
                        for core in system.cores)
             assert all(core._fused_llc is resumed.llc
                        for core in resumed.cores)
+            # The replay rows and the coordinate table are left out of
+            # the checkpoint and re-derived on load; losing them would
+            # still be bit-identical, just silently on the slow paths.
+            assert all(core._fast for core in resumed.cores)
+            assert resumed.mc._fast_select
+            assert resumed.mc._coords == system.mc._coords
         resumed.run(CYCLES - CYCLES // 2)
         assert resumed.stats.snapshot() == reference.stats.snapshot()
+        assert resumed.stats.fingerprint() == reference.stats.fingerprint()
+
+    def test_checkpoint_omits_derivable_tables(self, tmp_path):
+        # Per-trace tables are rebuilt from the memo on load, so a fused
+        # checkpoint carries simulator state only; pickling the trace
+        # iterators and the coordinate table would push it to ~1 MB.
+        with contracts.enabled_scope(False):
+            config = replace(SCALED_MULTI_CONFIG, kernel="batched")
+            system = SimSystem(workload_traces(1, seed=7), config=config)
+            system.run(10_000)
+            path = tmp_path / "small.ckpt"
+            system.save_checkpoint(path)
+        assert path.stat().st_size < 100_000
 
     def test_shaped_roundtrip_matches_heap(self, tmp_path):
         # Checkpoint mid-window with aligned shapers, restore, run to the

@@ -155,17 +155,18 @@ class TestCheckpointFormat:
         with pytest.raises(CheckpointError, match="version"):
             load_checkpoint(path)
 
-    def test_previous_format_rejected(self, tmp_path):
-        # A file from the previous release carries the old magic line; it
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_previous_format_rejected(self, tmp_path, version):
+        # A file from an earlier release carries its old magic line; it
         # must fail as a version mismatch, never reach the unpickler.
         path = tmp_path / "old.ckpt"
         system = _small_system()
         system.run(500)
         save_checkpoint(system, path)
         raw = path.read_bytes()
-        path.write_bytes(b"repro-checkpoint-v1\n"
+        path.write_bytes(b"repro-checkpoint-v%d\n" % version
                          + raw.partition(b"\n")[2])
-        with pytest.raises(CheckpointError, match="version 1"):
+        with pytest.raises(CheckpointError, match=f"version {version}"):
             load_checkpoint(path)
 
     def test_unpicklable_system_raises_checkpoint_error(self, tmp_path):

@@ -88,3 +88,22 @@ def test_every_public_module_has_docstring():
     for module_name in PUBLIC_SURFACE:
         module = importlib.import_module(module_name)
         assert module.__doc__, f"{module_name} lacks a module docstring"
+
+
+def test_package_runs_without_numpy():
+    # The package declares no runtime dependency: importing the simulator,
+    # the experiment CLI, the campaign fabric and the bench must not pull
+    # numpy in (checked in a fresh interpreter, whatever this one loaded).
+    import os
+    import subprocess
+    import sys
+
+    import repro
+    src_dir = os.path.dirname(os.path.dirname(
+        os.path.abspath(repro.__file__)))
+    script = ("import sys, repro.sim.system, repro.experiments, "
+              "repro.fabric, repro.bench; "
+              "sys.exit('numpy' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", script],
+                            env=dict(os.environ, PYTHONPATH=src_dir))
+    assert result.returncode == 0

@@ -1,9 +1,11 @@
-"""Unit tests for the struct-of-arrays trace columns (batched kernel)."""
+"""Unit tests for the derivable per-trace tables (batched kernel)."""
+
+import pytest
 
 from repro.dram.address_map import AddressMapper
 from repro.dram.timing import DDR3_1333
-from repro.sim.soa import (TraceColumns, _COLUMN_MEMO, dram_coord_table,
-                           trace_columns, trace_key)
+from repro.sim.soa import _ROW_MEMO, dram_coord_table, trace_columns, \
+    trace_key
 from repro.workloads.benchmarks import trace_for
 
 LINE_BYTES = 64
@@ -12,34 +14,25 @@ LINE_BYTES = 64
 class TestTraceColumns:
     def test_columns_match_iterator_replay(self):
         trace = trace_for("mcf", seed=9)
-        columns = trace_columns(trace, LINE_BYTES)
-        assert columns is not None
+        rows = trace_columns(trace, LINE_BYTES)
+        assert rows is not None
         events = list(iter(trace))
-        assert columns.length == len(events)
+        assert len(rows) == len(events)
         shift = LINE_BYTES.bit_length() - 1
-        for index, event in enumerate(events):
-            assert columns.works[index] == event[0]
-            assert columns.addrs[index] == event[1]
-            assert columns.iswrites[index] == bool(event[2])
-            assert columns.lines[index] == event[1] >> shift
-
-    def test_rows_zip_the_columns(self):
-        columns = trace_columns(trace_for("omnetpp", seed=9), LINE_BYTES)
-        assert len(columns.rows) == columns.length
-        for index, (work, addr, is_write, line) in enumerate(columns.rows):
-            assert work == columns.works[index]
-            assert addr == columns.addrs[index]
-            assert is_write == columns.iswrites[index]
-            assert line == columns.lines[index]
+        for (work, address, is_write, line), event in zip(rows, events):
+            assert work == event[0]
+            assert address == event[1]
+            assert is_write == bool(event[2])
+            assert line == event[1] >> shift
 
     def test_columns_hold_plain_python_scalars(self):
-        # np.int64 leaking into requests would poison fingerprints and
-        # JSON documents downstream; the columns must be plain ints/bools.
-        columns = trace_columns(trace_for("mcf", seed=9), LINE_BYTES)
-        assert type(columns.works[0]) is int
-        assert type(columns.addrs[0]) is int
-        assert type(columns.iswrites[0]) is bool
-        assert type(columns.lines[0]) is int
+        # Foreign integer types leaking into requests would poison
+        # fingerprints and JSON documents downstream; every row must be
+        # plain (int, int, bool, int).
+        rows = trace_columns(trace_for("omnetpp", seed=9), LINE_BYTES)
+        for row in rows:
+            assert type(row) is tuple and len(row) == 4
+            assert [type(value) for value in row] == [int, int, bool, int]
 
     def test_non_power_of_two_line_size_falls_back(self):
         assert trace_columns(trace_for("mcf", seed=9), 48) is None
@@ -56,11 +49,11 @@ class TestTraceColumns:
         assert c is not a
 
     def test_memo_stays_bounded(self):
-        before = len(_COLUMN_MEMO)
+        before = len(_ROW_MEMO)
         for seed in range(3):
             trace_columns(trace_for("mcf", seed=1000 + seed), LINE_BYTES)
-        assert len(_COLUMN_MEMO) <= 64
-        assert len(_COLUMN_MEMO) >= min(before, 61)
+        assert len(_ROW_MEMO) <= 64
+        assert len(_ROW_MEMO) >= min(before, 61)
 
     def test_trace_key_requires_profile_and_seed(self):
         assert trace_key(object()) is None
@@ -68,14 +61,14 @@ class TestTraceColumns:
 
 
 class TestDramCoordTable:
-    def test_table_matches_scalar_mapper(self):
+    @pytest.mark.parametrize("scheme", ["row", "bank"])
+    def test_table_matches_scalar_mapper(self, scheme):
         trace = trace_for("mcf", seed=9)
         timing = DDR3_1333
-        table = dram_coord_table(trace, timing, scheme="row")
+        table = dram_coord_table(trace, timing, scheme=scheme)
         assert table is not None
-        mapper = AddressMapper(timing, scheme="row")
-        columns = trace_columns(trace, timing.line_bytes)
-        lines = set(columns.lines)
+        mapper = AddressMapper(timing, scheme=scheme)
+        lines = {row[3] for row in trace_columns(trace, timing.line_bytes)}
         assert set(table) == lines
         for line in sorted(lines)[:64]:
             coords = mapper.map(line * timing.line_bytes)
