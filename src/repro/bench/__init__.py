@@ -140,7 +140,8 @@ _BREAKDOWN_RULES: Tuple[Tuple[str, Optional[str], str], ...] = (
     ("sim/batched", "_run", "core"),
     ("sim/batched", "lookup", "llc"),
     ("sim/batched", None, "memctrl+dram"),
-    ("sim/wheel", None, "engine"),
+    # cProfile reports the heap builtins as "~" with the method repr
+    ("~", "<built-in method _heapq.", "engine"),
     ("sim/engine", None, "engine"),
     ("sim/core_model", None, "core"),
     ("sim/ooo_core", None, "core"),
@@ -211,8 +212,9 @@ def verify_kernels(quick: bool = False,
                    workload_names: Optional[List[str]] = None) -> Dict:
     """Run every selected workload under both event kernels and compare.
 
-    Each workload is built twice -- ``kernel="heap"`` (the contracts-ready
-    oracle engine) and ``kernel="batched"`` (wheel + fused fast paths) --
+    Each workload is built twice on the one heap engine --
+    ``kernel="heap"`` (the checked oracle components) and
+    ``kernel="batched"`` (the fused fast paths) --
     run for the mode's cycle count, and the full statistics fingerprints
     (:meth:`~repro.sim.stats.SystemStats.fingerprint`) must be
     bit-identical.  This is the golden-fingerprint equivalence check at

@@ -28,7 +28,9 @@ off.  Wall-clock access goes through :mod:`repro.runner.wallclock`.
 
 from __future__ import annotations
 
+import os
 import random
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -80,6 +82,19 @@ def _worker_command(queue_root: Union[str, Path], campaign_id: str,
     return command
 
 
+def _signal_pool(process: subprocess.Popen, signum: int) -> None:
+    """Signal a pool's whole process group.
+
+    Each pool runs in its own session, so its group holds the worker and
+    the process-pool children it forked.  Signalling the worker alone
+    would orphan those children, blocked in a pipe read forever.
+    """
+    try:
+        os.killpg(process.pid, signum)
+    except ProcessLookupError:
+        pass
+
+
 def run_supervisor(queue: CampaignQueue,
                    pools: int = DEFAULT_POOLS,
                    jobs: int = 1,
@@ -120,7 +135,8 @@ def run_supervisor(queue: CampaignQueue,
                                   lease_seconds, max_attempts,
                                   inject_faults, extra)
         slot.process = subprocess.Popen(command,
-                                        stdout=subprocess.DEVNULL)
+                                        stdout=subprocess.DEVNULL,
+                                        start_new_session=True)
         if slot.spawned_once:
             slot.restarts += 1
         slot.spawned_once = True
@@ -145,7 +161,8 @@ def run_supervisor(queue: CampaignQueue,
                         alive += 1
                         continue
                     # Liveness probe failed: the child exited with work
-                    # outstanding.
+                    # outstanding.  Reap whatever it forked.
+                    _signal_pool(slot.process, signal.SIGKILL)
                     slot.exit_codes.append(code)
                     slot.process = None
                     now = wallclock.now()
@@ -178,15 +195,15 @@ def run_supervisor(queue: CampaignQueue,
             wallclock.sleep(poll_seconds)
     finally:
         for slot in slots:
-            if slot.process is not None and slot.process.poll() is None:
-                slot.process.terminate()
+            if slot.process is not None:
+                _signal_pool(slot.process, signal.SIGTERM)
         for slot in slots:
             if slot.process is not None:
                 try:
                     slot.exit_codes.append(
                         slot.process.wait(timeout=10.0))
                 except subprocess.TimeoutExpired:
-                    slot.process.kill()
+                    _signal_pool(slot.process, signal.SIGKILL)
                     slot.exit_codes.append(slot.process.wait())
                 slot.process = None
 

@@ -49,7 +49,6 @@ from .memctrl import MemoryController, MemorySchedulerProtocol
 from .request import MemoryRequest
 from .soa import dram_coord_table, trace_columns
 from .stats import SystemStats
-from .wheel import _MASK, SPAN, WheelEngine
 
 
 class DerivedSlots:
@@ -122,11 +121,8 @@ class BatchedCoreModel(DerivedSlots, CoreModel):
             else allocator
         rows = None
         l1 = self.l1
-        # The fast loop schedules by direct bucket append, so it requires
-        # the wheel engine (the only engine fused systems assemble).
         if (self._line_shift is not None and l1._set_mask is not None
-                and l1._line_shift == self._line_shift
-                and type(self.engine) is WheelEngine):
+                and l1._line_shift == self._line_shift):
             rows = trace_columns(self.trace, self.line_bytes)
         self._rows = rows
         self._n = len(rows) if rows is not None else 0
@@ -140,9 +136,9 @@ class BatchedCoreModel(DerivedSlots, CoreModel):
         Shaped for the dominant activation: one access, one row fetch,
         one self-reschedule.  Attributes are read on demand instead of
         bulk-bound up front (an activation touches each at most once), and
-        the self-reschedule appends straight into the wheel bucket --
-        identical ``(when, seq)`` allocation to ``engine.schedule`` minus
-        the call.  The access body inlines :meth:`Cache.access` (same
+        the self-reschedule pushes straight onto the engine's heap --
+        identical ``(when, seq)`` key to ``engine.schedule`` minus the
+        call.  The access body inlines :meth:`Cache.access` (same
         ``OrderedDict`` operations in the same order) and the unshaped
         :meth:`ShaperPort._drain` (``shaper_stall_cycles`` gains
         ``now - now == 0`` on that path, so the add is skipped).
@@ -178,17 +174,9 @@ class BatchedCoreModel(DerivedSlots, CoreModel):
                     if when >= 0:
                         self._pending_work = [0, work, address, is_write]
                         # inline engine.schedule(when, self._run_cb)
-                        seq = engine._seq
-                        engine._seq = seq + 1
-                        if when - now < SPAN:
-                            index = when & _MASK
-                            engine._buckets[index].append(
-                                (when, seq, self._run_cb, _NO_ARG))
-                            engine._occupied[index] = 1
-                        else:
-                            _heappush(engine._overflow,
-                                      (when, seq, self._run_cb, _NO_ARG))
-                        engine._count += 1
+                        _heappush(engine._queue,
+                                  (when, next(engine._counter),
+                                   self._run_cb, _NO_ARG))
                         return
                 else:
                     remaining = pending[0]
@@ -300,19 +288,10 @@ class BatchedCoreModel(DerivedSlots, CoreModel):
                                     callback = llc._respond_miss
                                 # inline engine.schedule(respond_at,
                                 #                        callback, request)
-                                seq = engine._seq
-                                engine._seq = seq + 1
-                                if respond_at - now < SPAN:
-                                    index = respond_at & _MASK
-                                    engine._buckets[index].append(
-                                        (respond_at, seq, callback,
-                                         request))
-                                    engine._occupied[index] = 1
-                                else:
-                                    _heappush(engine._overflow,
-                                              (respond_at, seq, callback,
-                                               request))
-                                engine._count += 1
+                                _heappush(engine._queue,
+                                          (respond_at,
+                                           next(engine._counter),
+                                           callback, request))
                                 if lvictim is not None:
                                     lwb = MemoryRequest(
                                         core_id, lvictim, True, now, now,
@@ -361,8 +340,7 @@ class BatchedLLC(SharedLLC):
         self._fast = (self._line_shift is not None
                       and self._bank_mask is not None
                       and cache._set_mask is not None
-                      and cache._line_shift == self._line_shift
-                      and type(self.engine) is WheelEngine)
+                      and cache._line_shift == self._line_shift)
 
     def lookup(self, request: MemoryRequest) -> None:
         if not self._fast:
@@ -404,16 +382,8 @@ class BatchedLLC(SharedLLC):
                 cores[request.core_id].llc_misses += 1
             callback = self._respond_miss
         # inline engine.schedule(respond_at, callback, request)
-        seq = engine._seq
-        engine._seq = seq + 1
-        if respond_at - now < SPAN:
-            index = respond_at & _MASK
-            engine._buckets[index].append((respond_at, seq, callback,
-                                           request))
-            engine._occupied[index] = 1
-        else:
-            _heappush(engine._overflow, (respond_at, seq, callback, request))
-        engine._count += 1
+        _heappush(engine._queue,
+                  (respond_at, next(engine._counter), callback, request))
         if callback is self._respond_miss and victim is not None:
             # Same creation order as the parent: the LLC-victim writeback's
             # req_id is allocated after the miss determination is scheduled.
@@ -467,8 +437,7 @@ class BatchedMemoryController(DerivedSlots, MemoryController):
     def _derive(self) -> None:
         """(Re)build the coordinate table; only the fast dispatch reads it."""
         coords = None
-        if getattr(self.scheduler, "selects_head", False) \
-                and type(self.engine) is WheelEngine:
+        if getattr(self.scheduler, "selects_head", False):
             dram = self.dram
             coords = {}
             for trace in self._traces:
@@ -552,17 +521,8 @@ class BatchedMemoryController(DerivedSlots, MemoryController):
             inflight += 1
             dispatched += 1
             # inline engine.schedule(done, complete_cb, request)
-            seq = engine._seq
-            engine._seq = seq + 1
-            if done - now < SPAN:
-                index = done & _MASK
-                engine._buckets[index].append((done, seq, complete_cb,
-                                               request))
-                engine._occupied[index] = 1
-            else:
-                _heappush(engine._overflow, (done, seq, complete_cb,
-                                             request))
-            engine._count += 1
+            _heappush(engine._queue,
+                      (done, next(engine._counter), complete_cb, request))
         self._inflight = inflight
         self.dispatched += dispatched
 

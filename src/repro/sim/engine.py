@@ -69,6 +69,9 @@ class _NoArg:
 #: sentinel marking "call the callback with no argument"
 _NO_ARG = _NoArg()
 
+#: horizon of an unbounded ``run()``: a cycle no simulation reaches
+_NEVER = 1 << 62
+
 
 class Engine:
     """A minimal discrete-event scheduler keyed by integer cycle time.
@@ -86,6 +89,11 @@ class Engine:
     events pop in FIFO scheduling order -- and rejects non-integer cycle
     arguments at :meth:`schedule` time.  The flag is captured at
     construction so the disabled case costs one attribute read per event.
+
+    The fused components of :mod:`repro.sim.batched` inline
+    :meth:`schedule` as ``heappush(engine._queue, (when,
+    next(engine._counter), callback, arg))``, so the event tuple layout
+    and the one shared counter are part of this class's contract.
     """
 
     __slots__ = ("now", "_queue", "_counter", "_stopped", "_contracts",
@@ -151,43 +159,34 @@ class Engine:
         # loop that drains each cycle's whole event chain with one horizon
         # check.  Pop order is exactly the heap's (when, seq) order, so
         # this is observably identical to the one-event-at-a-time loop.
+        # A ``None`` horizon (run to drain) becomes an unreachable cycle so
+        # the per-cycle comparison needs no None test.
         queue = self._queue
         pop = _heappop
         no_arg = _NO_ARG
+        horizon = until if until is not None else _NEVER
         executed = 0
-        if until is None:
-            while queue and not self._stopped:
-                when, _seq, callback, arg = pop(queue)
-                self.now = when
-                if arg is no_arg:
-                    callback()
-                else:
-                    callback(arg)
-                executed += 1
-                while queue and queue[0][0] == when and not self._stopped:
-                    _when, _seq, callback, arg = pop(queue)
-                    if arg is no_arg:
-                        callback()
-                    else:
-                        callback(arg)
-                    executed += 1
-        else:
+        try:
             while queue and not self._stopped:
                 when = queue[0][0]
-                if when >= until:
+                if when >= horizon:
                     break
                 self.now = when
                 while queue and queue[0][0] == when and not self._stopped:
                     _when, _seq, callback, arg = pop(queue)
+                    # Counted before the call: a callback that raises
+                    # (watchdog starvation, chaos injection) has still
+                    # consumed its event.
+                    executed += 1
                     if arg is no_arg:
                         callback()
                     else:
                         callback(arg)
-                    executed += 1
-            if self.now < until:
+            if until is not None and self.now < until:
                 self.now = until
-        self.events_executed += executed
-        return self.now
+            return self.now
+        finally:
+            self.events_executed += executed
 
     def _run_checked(self, until: Optional[int],
                      max_events: Optional[int]) -> int:
@@ -215,11 +214,11 @@ class Engine:
                         "popped after seq %d", when, seq, last_seq)
                 last_seq = seq
                 self.now = when
+                executed += 1
                 if arg is _NO_ARG:
                     callback()
                 else:
                     callback(arg)
-                executed += 1
             if until is not None and self.now < until:
                 self.now = until
             return self.now

@@ -32,7 +32,6 @@ from .llc import SharedLLC
 from .memctrl import MemoryController, MemorySchedulerProtocol
 from .request import MemoryRequest, RequestIdAllocator
 from .stats import CoreStats, SystemStats
-from .wheel import WheelEngine
 
 
 @dataclass(frozen=True, slots=True)
@@ -70,12 +69,13 @@ class SystemConfig:
     issue_width: int = 4
     #: MSHRs per core for the "window" core model (Table II)
     mshrs: int = 8
-    #: event kernel: "batched" (calendar-queue wheel; with contracts off
-    #: it also assembles the fused components of :mod:`repro.sim.batched`:
-    #: row-table trace replay, the DRAM coordinate table and the core->LLC
-    #: inline) or "heap" (the binary-heap oracle engine with the original
-    #: checked components).  Both produce bit-identical results (pinned by
-    #: the golden-fingerprint suite).
+    #: component set on the one heap :class:`~repro.sim.engine.Engine`:
+    #: "batched" assembles, with contracts off, the fused components of
+    #: :mod:`repro.sim.batched` (row-table trace replay, the DRAM
+    #: coordinate table and the core->LLC inline); "heap" assembles the
+    #: original checked components (the oracle).  With contracts on both
+    #: assemble the checked components.  Both produce bit-identical
+    #: results (pinned by the golden-fingerprint suite).
     kernel: str = "batched"
 
 
@@ -186,17 +186,14 @@ class SimSystem:
             raise ValueError("at least one trace is required")
         self.config = config or MULTI_PROGRAM_CONFIG
         kernel = self.config.kernel
-        if kernel == "batched":
-            self.engine = WheelEngine()
-        elif kernel == "heap":
-            self.engine = Engine()
-        else:
+        if kernel not in ("heap", "batched"):
             raise ValueError(f"unknown kernel {kernel!r}; "
                              f"known: ('heap', 'batched')")
+        self.engine = Engine()
         # The fused fast-path components are bit-identical transcriptions
         # of the checked ones but carry no invariant instrumentation, so
         # they assemble only when contracts are off; REPRO_CONTRACTS=1
-        # pairs the wheel engine with the original (checked) components.
+        # runs the original (checked) components under either kernel.
         fused = kernel == "batched" and not contracts.is_enabled()
         #: per-system request-id source: ids always start at 0 for a new
         #: system, so back-to-back systems in one process are bit-identical

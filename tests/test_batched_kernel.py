@@ -1,6 +1,9 @@
 """Heap-vs-batched kernel equivalence on full systems.
 
-The golden-fingerprint suite pins both kernels to recorded hashes; these
+Both kernels run on the one heap :class:`~repro.sim.engine.Engine`; they
+differ in component set (checked components vs. the fused ones of
+:mod:`repro.sim.batched`).  The golden-fingerprint suite pins both
+kernels to recorded hashes; these
 tests assert the stronger property directly -- the complete
 :meth:`~repro.sim.stats.SystemStats.snapshot` documents are *equal*
 between kernels, so a divergence points at the exact statistic instead of
@@ -16,10 +19,11 @@ from repro.analysis import contracts
 from repro.core.bins import BinConfig
 from repro.core.shaper import MittsShaper
 from repro.sched.base import FrFcfsScheduler
+from repro.sim.batched import BatchedLLC
 from repro.sim.engine import Engine
+from repro.sim.llc import SharedLLC
 from repro.sim.system import (SCALED_MULTI_CONFIG, SCALED_SINGLE_CONFIG,
                               SimSystem)
-from repro.sim.wheel import WheelEngine
 from repro.workloads.benchmarks import trace_for
 from repro.workloads.mixes import workload_traces
 
@@ -38,10 +42,15 @@ def _shaped_system(kernel: str, phase_stride: int = 0) -> SimSystem:
 
 
 class TestKernelSelection:
-    def test_batched_config_uses_wheel_engine(self):
-        system = SimSystem(workload_traces(1, seed=3),
-                           config=SCALED_MULTI_CONFIG)
-        assert isinstance(system.engine, WheelEngine)
+    def test_default_config_uses_engine(self):
+        # The kernel selects the component set only; the event engine is
+        # the one heap Engine, and contracts swap in checked components.
+        for enabled, llc_type in ((False, BatchedLLC), (True, SharedLLC)):
+            with contracts.enabled_scope(enabled):
+                system = SimSystem(workload_traces(1, seed=3),
+                                   config=SCALED_MULTI_CONFIG)
+            assert type(system.engine) is Engine
+            assert type(system.llc) is llc_type
 
     def test_heap_config_uses_heap_engine(self):
         config = replace(SCALED_MULTI_CONFIG, kernel="heap")

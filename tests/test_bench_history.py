@@ -63,7 +63,11 @@ class TestBreakdownClassification:
 
     def test_module_rules(self):
         from repro.bench import _classify
-        assert _classify("/x/src/repro/sim/wheel.py", "run") == "engine"
+        assert _classify("/x/src/repro/sim/engine.py", "run") == "engine"
+        assert _classify("~", "<built-in method _heapq.heappush>") \
+            == "engine"
+        assert _classify("~", "<built-in method _heapq.heappop>") \
+            == "engine"
         assert _classify("/x/src/repro/sim/llc.py", "lookup") == "llc"
         assert _classify("/x/src/repro/core/shaper.py", "issue") == "shaper"
         assert _classify("/x/src/repro/sim/stats.py", "add") == "stats"

@@ -1,6 +1,14 @@
 """Unit tests for the discrete-event engine."""
 
+import pickle
+
+import pytest
+
 from repro.sim.engine import Engine
+
+
+def _noop():
+    pass
 
 
 class TestScheduling:
@@ -133,6 +141,19 @@ class TestHorizon:
         engine.run(until=500)
         assert engine.now == 500
 
+    def test_far_future_event_executes_at_its_cycle(self):
+        engine = Engine()
+        seen = []
+        far = 10_000_037
+        engine.schedule(5, lambda: None)
+        engine.schedule(far, lambda: seen.append(engine.now))
+        engine.run(until=far)
+        assert seen == []
+        assert engine.now == far
+        engine.run()
+        assert seen == [far]
+        assert engine.now == far
+
     def test_events_spawned_inside_horizon_run(self):
         engine = Engine()
         log = []
@@ -159,6 +180,70 @@ class TestControl:
             engine.schedule(i, lambda i=i: log.append(i))
         engine.run(max_events=3)
         assert log == [0, 1, 2]
+
+    def test_max_events_counts_exactly(self):
+        # A capped run executes exactly max_events, and the rest resumes.
+        engine = Engine()
+        log = []
+        for i in range(5):
+            engine.schedule(i, lambda i=i: log.append(i))
+        engine.run(max_events=3)
+        assert log == [0, 1, 2]
+        assert engine.events_executed == 3
+        engine.run()
+        assert log == [0, 1, 2, 3, 4]
+        assert engine.events_executed == 5
+
+    def test_stop_keeps_unexecuted_tail(self):
+        # Stopping mid-cycle keeps the rest of that cycle queued, in order.
+        engine = Engine()
+        log = []
+        engine.schedule(3, lambda: (log.append("a"), engine.stop()))
+        engine.schedule(3, lambda: log.append("b"))
+        engine.schedule(3, lambda: log.append("c"))
+        engine.run()
+        assert log == ["a"]
+        assert engine.pending_events == 2
+        engine.run()
+        assert log == ["a", "b", "c"]
+
+    def test_callback_exception_leaves_queue_resumable(self):
+        engine = Engine()
+        log = []
+
+        def boom():
+            raise RuntimeError("injected")
+
+        engine.schedule(5, lambda: log.append("before"))
+        engine.schedule(6, boom)
+        engine.schedule(7, lambda: log.append("after"))
+        with pytest.raises(RuntimeError):
+            engine.run()
+        # The failing event is consumed (and counted); the tail survives.
+        assert log == ["before"]
+        assert engine.events_executed == 2
+        assert engine.pending_events == 1
+        engine.run()
+        assert log == ["before", "after"]
+        assert engine.events_executed == 3
+
+    def test_pickle_roundtrip_preserves_pending_events(self):
+        # Lambdas don't pickle, so use a module-level callable -- the same
+        # constraint real checkpoints satisfy via bound methods of
+        # picklable components.
+        engine = Engine()
+        far = 5_000_000
+        engine.schedule(3, _noop)
+        engine.schedule(far, _noop)
+        engine.run(until=1)
+        clone = pickle.loads(pickle.dumps(engine))
+        assert clone.pending_events == 2
+        assert clone.now == engine.now
+        clone.schedule(3, _noop)
+        clone.run()
+        assert clone.now == far
+        assert clone.pending_events == 0
+        assert clone.events_executed == 3
 
     def test_pending_events_counter(self):
         engine = Engine()

@@ -10,6 +10,7 @@ ends together through whole campaigns.
 
 import errno
 import json
+import os
 import pickle
 
 import pytest
@@ -23,6 +24,7 @@ from repro.fabric.queue import (DISPOSITION_COMPLETE, DISPOSITION_DEGRADED,
                                 REASON_EXHAUSTED, CampaignQueue, Diagnosis,
                                 QueueError)
 from repro.fabric.service import _LeaseRenewer, work_campaign
+from repro.fabric.supervise import run_supervisor
 from repro.runner import wallclock
 
 
@@ -499,3 +501,40 @@ class TestFaultedCampaigns:
             "{torn", encoding="utf-8")  # a sick sidecar is skipped
         assert total_injections(directory) == 5
         assert total_injections(tmp_path / "nowhere") == 0
+
+
+def _processes_naming(fragment: str):
+    """PIDs whose command line contains ``fragment`` (zombies have none)."""
+    needle = fragment.encode()
+    found = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/cmdline", "rb") as handle:
+                cmdline = handle.read()
+        except OSError:
+            continue
+        if needle in cmdline:
+            found.append(int(entry))
+    return found
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+class TestSupervisorShutdown:
+    def test_stop_mid_job_leaves_no_pool_process(self, tmp_path):
+        # Both pools are mid-job (inside their process-pool children) when
+        # the deadline stops the fleet; shutdown must take the children
+        # down with the workers, not orphan them.
+        manifest = parse_manifest({
+            "name": "orphans", "fn": "repro.resilience.chaos:chaos_slow_echo",
+            "grid": {"value": [1, 2, 3, 4]}, "fixed": {"delay": 60.0}})
+        queue = CampaignQueue.submit(tmp_path / "root", manifest)
+        report = run_supervisor(queue, pools=2, jobs=1, lease_seconds=120.0,
+                                timeout=5.0, echo=lambda *_args: None)
+        assert report["timed_out"]
+        root = str(queue.root)
+        deadline = wallclock.now() + 5.0
+        while _processes_naming(root) and wallclock.now() < deadline:
+            wallclock.sleep(0.1)
+        assert _processes_naming(root) == []

@@ -10,11 +10,11 @@ tie-break, histogram contents, queue depths -- trips these tests.
 The scenarios cover the three main simulation shapes: the simple core
 model on the FCFS fallback, the instruction-window model under MITTS
 shaping with FR-FCFS, and the mesh-NoC path.  Every scenario runs under
-*both* event kernels -- the checked heap engine and the batched
-calendar-queue wheel -- and the suite runs both with and without
-``REPRO_CONTRACTS=1`` in CI; the fingerprints must be identical in all
-four combinations (contracts observe, never perturb; the fast path
-reorders nothing).
+*both* kernels -- the checked heap components and the batched fused
+components, on the same heap engine -- and the suite runs both with and
+without ``REPRO_CONTRACTS=1`` in CI; the fingerprints must be identical
+in all four combinations (contracts observe, never perturb; the fast
+path reorders nothing).
 
 If a fingerprint changes *intentionally* (a modelling change, not an
 optimisation), re-record it here and say why in the commit message.

@@ -19,11 +19,12 @@ from repro.core.macrotick import MacroTickPump
 from repro.core.shaper import MittsShaper
 from repro.sched.base import FrFcfsScheduler
 from repro.sim.system import SCALED_MULTI_CONFIG, SimSystem
-from repro.sim.wheel import SPAN
 from repro.workloads.mixes import workload_traces
 
 CYCLES = 60_000
 CREDITS = [4, 4, 3, 3, 2, 2, 1, 1, 1, 1]
+#: observer period for the boundary-crossing test; longer than ``T_r``
+PERIOD = 5_096
 
 
 def _build(kernel: str = "batched", phase_stride: int = 0) -> SimSystem:
@@ -64,15 +65,15 @@ class TestEligibility:
 
 class TestEquivalence:
     def test_every_crossing_macro_tick_boundaries(self):
-        # A periodic observer whose period exceeds both T_r and the wheel
-        # span: its callbacks ride the overflow heap, interleave with the
-        # shapers' window boundaries, and must fire at exactly the same
-        # cycles under both kernels without perturbing the run.
+        # A periodic observer whose period exceeds T_r: its callbacks
+        # interleave with the shapers' window boundaries and must fire at
+        # exactly the same cycles under both kernels without perturbing
+        # the run.
         def drive(kernel):
             system = _build(kernel)
-            period = SPAN + 1000
+            assert PERIOD > system.ports[0].limiter.replenisher.period
             observed = []
-            system.every(period,
+            system.every(PERIOD,
                          lambda: observed.append(system.engine.now))
             system.run(CYCLES)
             return observed, system.stats.snapshot()
@@ -80,8 +81,8 @@ class TestEquivalence:
         batched_log, batched_snapshot = drive("batched")
         heap_log, heap_snapshot = drive("heap")
         assert batched_log \
-            == [(i + 1) * (SPAN + 1000) for i in range(len(batched_log))]
-        assert len(batched_log) == CYCLES // (SPAN + 1000)
+            == [(i + 1) * PERIOD for i in range(len(batched_log))]
+        assert len(batched_log) == CYCLES // PERIOD
         assert batched_log == heap_log
         assert batched_snapshot == heap_snapshot
 
