@@ -108,14 +108,3 @@ class CreditState:
         """Copy of the live counters (starvation diagnostics; a copy so
         diagnostic consumers can never alias the hardware registers)."""
         return list(self.counts)
-
-    def next_available_bin_at_or_above(self, bin_index: int) -> Optional[int]:
-        """Smallest bin index >= ``bin_index`` holding credits.
-
-        Used to compute how long a stalled request must age before its
-        inter-arrival time reaches a bin that can pay for it.
-        """
-        for index in range(bin_index, len(self.counts)):
-            if self.counts[index] > 0:
-                return index
-        return None

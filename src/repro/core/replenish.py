@@ -8,13 +8,17 @@ slices and tops bins up incrementally, trading burst capacity for
 smoothness the way a token bucket with a small bucket would.
 
 Policies are applied *lazily*: the simulator calls ``apply_until(state,
-now)`` before reading credit counters, and ``next_boundary()`` to know when
-a stalled request might become issuable again.
+now)`` before reading credit counters.  To answer "when may a stalled
+request go?" without touching the live clock, the shaper asks two pure
+questions instead: :meth:`~ReplenishPolicy.boundary_spacing` (cycles
+between consecutive boundaries after ``next_boundary()``) and
+:meth:`~ReplenishPolicy.refilled` (the counters just after the ``k``-th
+boundary from now, given the counters just before it).
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional, Sequence
 
 from .bins import BinConfig
 from .credits import CreditState
@@ -27,6 +31,12 @@ class ReplenishPolicy:
     that co-running shapers do not replenish in lockstep -- synchronized
     boundaries make every core spend its burst credits at the same instant,
     the short-term congestion Section III-C discusses.
+
+    Boundaries fall at ``next_boundary() + k * boundary_spacing()`` for
+    ``k = 0, 1, ...``.  A refill never lowers a counter (counters never
+    exceed ``K_i``), and one full period of refills (one boundary for the
+    reset, ``slices`` for the drip) restores every counter to ``K_i``;
+    the shaper's closed-form release time relies on both.
     """
 
     __slots__ = ("period", "_next")
@@ -42,19 +52,30 @@ class ReplenishPolicy:
         """Cycle of the next replenishment event."""
         return self._next
 
+    def boundary_spacing(self) -> int:
+        """Cycles between consecutive replenishment events."""
+        return self.period
+
     def reset_clock(self, now: int) -> None:
         """Restart the period from ``now`` (used on reconfiguration)."""
         self._next = now + self.period
+
+    def reconfigured(self, config: BinConfig) -> "ReplenishPolicy":
+        """A fresh policy of the same kind for ``config`` (the period is
+        re-derived from the new allocation)."""
+        return type(self)(config)
 
     def apply_until(self, state: CreditState, now: int) -> None:
         """Apply all replenishment boundaries at or before ``now``."""
         raise NotImplementedError
 
-    def clone(self) -> "ReplenishPolicy":
-        """Independent copy with identical clock state.
+    def refilled(self, counts: Sequence[int], limits: Sequence[int],
+                 k: int) -> Sequence[int]:
+        """Counters just after the ``k``-th boundary from now (``k = 0`` is
+        ``next_boundary()``), given ``counts`` just before it.
 
-        The shaper probes future release times on cloned policy + credit
-        state so speculation never perturbs the live clock.
+        Pure: reads the clock, never advances it, never mutates
+        ``counts``.
         """
         raise NotImplementedError
 
@@ -75,11 +96,18 @@ class ResetReplenisher(ReplenishPolicy):
         periods_crossed = (now - self._next) // self.period + 1
         self._next += periods_crossed * self.period
 
-    def clone(self) -> "ResetReplenisher":
-        copy = ResetReplenisher.__new__(ResetReplenisher)
-        copy.period = self.period
-        copy._next = self._next
-        return copy
+    def refilled(self, counts: Sequence[int], limits: Sequence[int],
+                 k: int) -> Sequence[int]:
+        return limits
+
+
+def _drip(counts: Sequence[int], limits: Sequence[int], s: int,
+          slices: int) -> List[int]:
+    """``counts`` after drip slice ``s`` of ``slices``: the slice's
+    largest-remainder installment, saturating at ``K_i``."""
+    return [min(limit, count + limit * (s + 1) // slices
+                - limit * s // slices)
+            for count, limit in zip(counts, limits)]
 
 
 class RateReplenisher(ReplenishPolicy):
@@ -105,27 +133,24 @@ class RateReplenisher(ReplenishPolicy):
         self._next = self._slice_period - (phase % self._slice_period)
         self._slice_index = 0
 
+    def boundary_spacing(self) -> int:
+        return self._slice_period
+
     def reset_clock(self, now: int) -> None:
         self._next = now + self._slice_period
         self._slice_index = 0
 
+    def reconfigured(self, config: BinConfig) -> "RateReplenisher":
+        return RateReplenisher(config, slices=self.slices)
+
     def apply_until(self, state: CreditState, now: int) -> None:
         while self._next <= now:
-            limits = state.config.credits
-            s = self._slice_index
-            for index, limit in enumerate(limits):
-                installment = (limit * (s + 1) // self.slices
-                               - limit * s // self.slices)
-                state.counts[index] = min(limit,
-                                          state.counts[index] + installment)
-            self._slice_index = (s + 1) % self.slices
+            state.counts = _drip(state.counts, state.config.credits,
+                                 self._slice_index, self.slices)
+            self._slice_index = (self._slice_index + 1) % self.slices
             self._next += self._slice_period
 
-    def clone(self) -> "RateReplenisher":
-        copy = RateReplenisher.__new__(RateReplenisher)
-        copy.period = self.period
-        copy.slices = self.slices
-        copy._slice_period = self._slice_period
-        copy._next = self._next
-        copy._slice_index = self._slice_index
-        return copy
+    def refilled(self, counts: Sequence[int], limits: Sequence[int],
+                 k: int) -> Sequence[int]:
+        return _drip(counts, limits, (self._slice_index + k) % self.slices,
+                     self.slices)

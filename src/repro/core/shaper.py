@@ -22,12 +22,20 @@ Both hybrid accounting methods of Section III-D are implemented:
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Optional, Sequence
 
 from .bins import BinConfig
 from .credits import CreditState
 from .limiter import SourceLimiter
 from .replenish import ReplenishPolicy, ResetReplenisher
+
+
+def _lowest_populated(counts: Sequence[int]) -> int:
+    """Index of the first non-zero counter, or -1 if all are zero."""
+    for index, count in enumerate(counts):
+        if count:
+            return index
+    return -1
 
 
 class MittsShaper(SourceLimiter):
@@ -81,7 +89,7 @@ class MittsShaper(SourceLimiter):
                     reset_credits: bool = True) -> None:
         """Install a new bin allocation (OS/hypervisor register write)."""
         self.state.reconfigure(config, reset=reset_credits)
-        self.replenisher = type(self.replenisher)(config)
+        self.replenisher = self.replenisher.reconfigured(config)
         self.replenisher.reset_clock(now)
 
     def stall_forever(self) -> bool:
@@ -90,79 +98,95 @@ class MittsShaper(SourceLimiter):
     # ------------------------------------------------------------------
     # issue path
 
-    def _interarrival(self, cycle: int) -> int:
-        if self._last_release is None:
-            # Counter has been running since boot: slowest bin.
-            return self.spec.lower_edge(self.spec.num_bins - 1)
-        return cycle - self._last_release
-
     def bin_at(self, cycle: int) -> int:
         """Bin a request released at ``cycle`` would fall into."""
-        return self.spec.bin_for_interarrival(self._interarrival(cycle))
+        if self._last_release is None:
+            # Counter has been running since boot: slowest bin.
+            return self.spec.num_bins - 1
+        return self.spec.bin_for_interarrival(cycle - self._last_release)
 
     def earliest_issue(self, now: int) -> Optional[int]:
         """First cycle >= ``now`` at which a release is permitted.
 
-        Walks forward through aging steps (a stalled request's growing
-        inter-arrival time reaching a farther populated bin) and
-        replenishment boundaries.  The walk probes *copies* of the credit
-        state and replenishment clock -- speculating about the future must
-        never advance the live clock, or a request issuing earlier than
-        the probed boundary would leave the clock a period ahead of
-        simulated time.
+        Closed form over replenishment intervals.  Between two boundaries
+        the credit counters are constant and :meth:`bin_at` never
+        decreases, so a request becomes eligible once its inter-arrival
+        time reaches the lowest populated bin ``b``: at ``max(t,
+        last_release + b*L)``, if that is at or before the next boundary.
+        Otherwise the answer lies past the boundary, with the counters
+        the policy's :meth:`~repro.core.replenish.ReplenishPolicy.
+        refilled` step gives (refills only ever raise counters).  One full
+        period of refills restores every ``K_i``, after which the lowest
+        configured bin decides: the reset policy takes at most one
+        interval step, the drip ablation at most ``slices``.
+
+        Only the live catch-up to ``now`` (always safe) touches state;
+        the future is computed, never probed, so speculation cannot
+        advance the live replenishment clock.
         """
-        if self.stall_forever():
-            return None
-        # Catch the live state up to real time first (always safe).
-        self.replenisher.apply_until(self.state, now)
-        if self.state.find_deductible(self.bin_at(now)) is not None:
-            # Fast exit: a credit is available right now.  The probe loop's
-            # first iteration (clone, no-op apply, same find_deductible)
-            # would return ``now``; skip the two state copies per call.
-            return now
-
-        probe_state = CreditState(self.config)
-        probe_state.counts = list(self.state.counts)
-        probe_policy = self.replenisher.clone()
-        # Enough steps for every aging edge plus a full period of drip
-        # slices, with slack; the reset policy needs only a handful.
-        slices = getattr(probe_policy, "slices", 1)
-        max_steps = 4 * (self.spec.num_bins + slices) + 16
-
+        replenisher = self.replenisher
+        state = self.state
+        if now >= replenisher._next:
+            replenisher.apply_until(state, now)
+        counts: Sequence[int] = state.counts
+        last = self._last_release
+        # The current interval, spelled out: nearly every call ends here,
+        # and skipping the loop's set-up halves the cost of a call.
+        lowest = _lowest_populated(counts)
+        if lowest >= 0:
+            if last is None:
+                return now
+            release = last + lowest * state._config.spec.interval_length
+            if release <= now:
+                return now
+            if release <= replenisher._next:
+                return release
+        limits = state._config.credits
+        floor = _lowest_populated(limits)
+        if floor < 0:
+            return None  # zero-credit allocation: stalls forever
+        length = state._config.spec.interval_length
+        spacing = replenisher.boundary_spacing()
         t = now
-        for _ in range(max_steps):
-            probe_policy.apply_until(probe_state, t)
-            bin_index = self.bin_at(t)
-            if probe_state.find_deductible(bin_index) is not None:
-                return t
-            candidates = []
-            next_bin = probe_state.next_available_bin_at_or_above(
-                bin_index + 1)
-            if next_bin is not None and self._last_release is not None:
-                candidates.append(self._last_release
-                                  + self.spec.lower_edge(next_bin))
-            candidates.append(probe_policy.next_boundary())
-            future = [c for c in candidates if c > t]
-            if not future:
-                return None
-            t = min(future)
-        return None
+        boundary = replenisher._next
+        k = 0
+        while True:
+            if lowest >= 0:
+                release = t if last is None else max(
+                    t, last + lowest * length)
+                if release <= boundary or lowest == floor:
+                    return release
+            counts = replenisher.refilled(counts, limits, k)
+            lowest = _lowest_populated(counts)
+            k += 1
+            t = boundary
+            boundary += spacing
 
     def issue(self, cycle: int, req_id: int = -1) -> None:
         """Commit a release at ``cycle``; deducts per the active method."""
-        self.replenisher.apply_until(self.state, cycle)
-        bin_index = self.bin_at(cycle)
+        replenisher = self.replenisher
+        state = self.state
+        if cycle >= replenisher._next:
+            replenisher.apply_until(state, cycle)
         if self.method == self.METHOD_DEDUCT_REFUND:
-            source = self.state.find_deductible(bin_index)
-            if source is None:
+            spec = state._config.spec
+            top = spec.num_bins - 1
+            last = self._last_release
+            bin_index = top if last is None else min(
+                (cycle - last) // spec.interval_length, top)
+            # Own bin first, then faster ones (CreditState.find_deductible).
+            counts = state.counts
+            source = bin_index
+            while source >= 0 and not counts[source]:
+                source -= 1
+            if source < 0:
                 raise ValueError(
                     f"no credit available at cycle {cycle} (bin {bin_index})")
-            self.state.deduct(source)
+            state.deduct(source)
             if req_id >= 0:
                 self._pending_bin[req_id] = source
-        else:
-            if req_id >= 0:
-                self._pending_stamp[req_id] = cycle
+        elif req_id >= 0:
+            self._pending_stamp[req_id] = cycle
         self._last_release = cycle
         self.released += 1
 

@@ -120,8 +120,8 @@ class ShaperPort:
                     # Genuinely blocked until reconfiguration + kick().
                     self._parked = True
                 else:
-                    # Defensive: a live limiter found no slot within its
-                    # search horizon; retry shortly rather than deadlock.
+                    # Defensive: no shipped limiter answers None while
+                    # live; retry shortly rather than deadlock.
                     self._wakeup_at = now + 64
                     engine.schedule(self._wakeup_at, self._wake_cb)
                 return

@@ -31,12 +31,28 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..analysis import contracts
 
 _heappush = heapq.heappush
 _heappop = heapq.heappop
+
+
+def peek_count(counter: "itertools.count[int]") -> int:
+    """The value ``next(counter)`` would return, read without advancing
+    or replacing ``counter``.
+
+    Checkpoints store sequence counters as plain ints: pickle and copy
+    support for ``itertools`` objects is deprecated since Python 3.12
+    and gone in 3.14.  ``repr`` (``count(41)``) is the only other way to
+    read a counter's position.
+    """
+    text = repr(counter)
+    if not text.startswith("count(") or not text.endswith(")") \
+            or "," in text:
+        raise ValueError(f"not a unit-step integer counter: {text}")
+    return int(text[len("count("):-1])
 
 
 class _NoArg:
@@ -94,6 +110,8 @@ class Engine:
     :meth:`schedule` as ``heappush(engine._queue, (when,
     next(engine._counter), callback, arg))``, so the event tuple layout
     and the one shared counter are part of this class's contract.
+    Pickling stores that counter as a plain int and restores a fresh
+    ``itertools.count`` from it; saving never touches the live counter.
     """
 
     __slots__ = ("now", "_queue", "_counter", "_stopped", "_contracts",
@@ -108,6 +126,16 @@ class Engine:
         #: cumulative number of events executed (perf accounting only;
         #: never feeds back into simulated behaviour)
         self.events_executed: int = 0
+
+    def __getstate__(self) -> Dict[str, object]:
+        state = {name: getattr(self, name) for name in self.__slots__}
+        state["_counter"] = peek_count(self._counter)
+        return state
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        for name, value in state.items():
+            setattr(self, name, value)
+        self._counter = itertools.count(state["_counter"])
 
     def schedule(self, when: int, callback: Callable,
                  arg: object = _NO_ARG) -> None:

@@ -5,6 +5,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
+from .engine import peek_count
+
 
 class RequestIdAllocator:
     """Monotonic source of ``req_id`` values for one simulated system.
@@ -27,6 +29,15 @@ class RequestIdAllocator:
 
     def __call__(self) -> int:
         return next(self._count)
+
+    # Checkpoints hold the counter's position as an int (see
+    # :func:`~repro.sim.engine.peek_count`); a dict, because a falsy
+    # state (position 0) would skip ``__setstate__`` on unpickling.
+    def __getstate__(self) -> dict:
+        return {"_count": peek_count(self._count)}
+
+    def __setstate__(self, state: dict) -> None:
+        self._count = itertools.count(state["_count"])
 
 
 #: fallback allocator for requests constructed outside a ``SimSystem``

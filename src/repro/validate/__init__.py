@@ -9,8 +9,9 @@ Two halves (DESIGN.md section 13):
   :class:`BoundViolation` errors through the contracts observer hook).
 * :mod:`repro.validate.properties` generates seeded random scenarios
   and checks differential properties across them -- kernel equivalence,
-  checkpoint-resume, id-relabeling invariance, credit monotonicity, and
-  bounds-hold -- with shrinking of failures to minimal horizons.
+  checkpoint-resume, id-relabeling invariance, credit monotonicity,
+  bounds-hold, and the closed-form shaper release time against a
+  probe-walk oracle -- with shrinking of failures to minimal horizons.
 
 ``python -m repro.validate --scenarios N --seed S`` runs the harness
 from the command line (see :mod:`repro.validate.__main__`).

@@ -29,7 +29,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         prog="python -m repro.validate",
         description="Property-based differential fuzzer for the MITTS "
                     "simulator: analytic bounds, kernel equivalence, "
-                    "checkpoint-resume, id-relabeling, monotonicity.")
+                    "checkpoint-resume, id-relabeling, monotonicity, "
+                    "closed-form shaper release time.")
     parser.add_argument("--scenarios", type=int, default=25,
                         help="number of random scenarios (default 25)")
     parser.add_argument("--seed", type=int, default=0,

@@ -30,6 +30,12 @@ golden-pinned ones:
     :class:`~repro.validate.bounds.BoundChecker` without a violation,
     and the checker demonstrably performed checks (a silently inert
     checker is itself a failure).
+``shaper_release``
+    :meth:`~repro.core.shaper.MittsShaper.earliest_issue` (a closed form
+    over replenishment intervals) answers exactly what the step-by-step
+    probe walk :func:`walk_earliest_issue` answers, on random credit
+    states, clocks, phases and both replenishment policies, under both
+    hybrid methods.
 
 Everything is derived from ``(master_seed, index)`` -- no wall clock, no
 unseeded randomness -- so any failure replays from its seed alone, and
@@ -39,6 +45,7 @@ prefix before the failure is reported.
 
 from __future__ import annotations
 
+import copy
 import random
 import tempfile
 from dataclasses import dataclass, replace
@@ -47,7 +54,9 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.bins import BinConfig, BinSpec
 from ..core.config_space import validate_bin_config
-from ..core.replenish import ResetReplenisher
+from ..core.credits import CreditState
+from ..core.replenish import (RateReplenisher, ReplenishPolicy,
+                              ResetReplenisher)
 from ..core.shaper import MittsShaper
 from ..sim.system import (SCALED_MULTI_CONFIG, SCALED_SINGLE_CONFIG,
                           SimSystem, SystemConfig)
@@ -354,6 +363,154 @@ def prop_bounds(scenario: Scenario) -> None:
                 "method 2: checker performed zero arrival-curve checks")
 
 
+def walk_earliest_issue(shaper: MittsShaper, now: int) -> Optional[int]:
+    """Reference oracle for :meth:`MittsShaper.earliest_issue`.
+
+    The step-by-step probe walk the shaper used before its closed form:
+    walk forward through aging steps (a stalled request's growing
+    inter-arrival time reaching a farther populated bin) and
+    replenishment boundaries, probing *copies* of the credit state and
+    replenishment clock.  Slow but obviously right; catches the live
+    state up to ``now`` exactly as the shaper does.
+
+    The one departure from the shaper's old walk is its step budget
+    (``4 * (N + slices) + 16`` steps), dropped here: with a period of a
+    few cycles every boundary is a step, so the budgeted walk could run
+    out and answer ``None`` ("no slot within the horizon") long before
+    a release the closed form finds.  Unbounded, the walk still ends:
+    every step moves ``t`` strictly forward, and a live configuration
+    always has a finite answer.
+    """
+    if shaper.stall_forever():
+        return None
+    shaper.replenisher.apply_until(shaper.state, now)
+    if shaper.state.find_deductible(shaper.bin_at(now)) is not None:
+        return now
+
+    probe_state = CreditState(shaper.config)
+    probe_state.counts = list(shaper.state.counts)
+    probe_policy = copy.copy(shaper.replenisher)
+
+    t = now
+    while True:
+        probe_policy.apply_until(probe_state, t)
+        bin_index = shaper.bin_at(t)
+        if probe_state.find_deductible(bin_index) is not None:
+            return t
+        candidates = []
+        next_bin = next((index for index in range(bin_index + 1,
+                                                  len(probe_state.counts))
+                         if probe_state.counts[index] > 0), None)
+        if next_bin is not None and shaper._last_release is not None:
+            candidates.append(shaper._last_release
+                              + shaper.spec.lower_edge(next_bin))
+        candidates.append(probe_policy.next_boundary())
+        future = [c for c in candidates if c > t]
+        if not future:
+            return None
+        t = min(future)
+
+
+def reference_issue(shaper: MittsShaper, cycle: int, req_id: int) -> None:
+    """Reference for :meth:`MittsShaper.issue`: the same commit spelled
+    through the public helpers (:meth:`~ReplenishPolicy.apply_until`,
+    :meth:`MittsShaper.bin_at`, :meth:`CreditState.find_deductible`)."""
+    shaper.replenisher.apply_until(shaper.state, cycle)
+    if shaper.method == MittsShaper.METHOD_DEDUCT_REFUND:
+        source = shaper.state.find_deductible(shaper.bin_at(cycle))
+        if source is None:
+            raise ValueError(f"no credit available at cycle {cycle}")
+        shaper.state.deduct(source)
+        shaper._pending_bin[req_id] = source
+    else:
+        shaper._pending_stamp[req_id] = cycle
+    shaper._last_release = cycle
+    shaper.released += 1
+
+
+def random_shaper(rng: random.Random, spec: BinSpec,
+                  credits: Tuple[int, ...],
+                  method: int) -> Tuple[MittsShaper, int]:
+    """A shaper in a random reachable-looking state, plus a query clock.
+
+    Draws the replenishment policy (reset with a derived or explicit
+    period down to 1 cycle; drip with 1/2/8/16 slices), its phase, a
+    live clock position, counters anywhere in ``[0, K_i]`` and a
+    ``last_release`` (``None`` = nothing released since boot) at or
+    before the returned query cycle.
+    """
+    config = BinConfig(spec=spec, credits=credits)
+    period = rng.choice((None, None, 1, rng.randint(1, 3 * spec.num_bins
+                                                    * spec.interval_length)))
+    phase = rng.randrange(4 * spec.num_bins * spec.interval_length + 1)
+    policy: ReplenishPolicy
+    if rng.random() < 0.5:
+        policy = ResetReplenisher(config, period=period, phase=phase)
+    else:
+        policy = RateReplenisher(config, period=period,
+                                 slices=rng.choice((1, 2, 8, 16)),
+                                 phase=phase)
+    shaper = MittsShaper(config, replenisher=policy, method=method)
+    clock = rng.randrange(2 * policy.period + 2)
+    policy.apply_until(shaper.state, clock)
+    shaper.state.counts = [rng.randint(0, limit) for limit in credits]
+    now = clock + rng.randrange(2 * spec.interval_length * spec.num_bins)
+    if rng.random() < 0.8:
+        shaper._last_release = rng.randint(max(0, clock - 3 * spec.num_bins
+                                                * spec.interval_length),
+                                           now)
+    return shaper, now
+
+
+def prop_shaper_release(scenario: Scenario, cases: int = 120) -> None:
+    """The closed-form release time equals the probe walk's, step by step.
+
+    Each case drives a shaper and an identical copy through a few
+    release/issue rounds: the copy answers through the reference walk
+    and commits through :func:`reference_issue`, so the rounds also
+    compare the credit counters and pending entries the shaper's inline
+    issue path leaves behind.
+    """
+    rng = random.Random(scenario.master_seed * 15_485_863 + scenario.index)
+    vectors = list(scenario.credits)
+    for case in range(cases):
+        spec = scenario.spec
+        if case % 2:
+            spec = BinSpec(num_bins=rng.randint(1, 16),
+                           interval_length=rng.randint(1, 17))
+        if case % 2 == 0 and vectors:
+            credits = vectors[case // 2 % len(vectors)]
+        elif rng.random() < 0.05:
+            credits = (0,) * spec.num_bins  # stalls forever
+        else:
+            credits = _credit_vector(rng, rng.choice(SHAPES),
+                                     spec.num_bins, spec.max_credits)
+        for method in (MittsShaper.METHOD_DEDUCT_REFUND,
+                       MittsShaper.METHOD_TIMESTAMP):
+            shaper, now = random_shaper(rng, spec, credits, method)
+            reference = copy.deepcopy(shaper)
+            for round_ in range(4):
+                got = shaper.earliest_issue(now)
+                want = walk_earliest_issue(reference, now)
+                if got != want or shaper.credit_counts() \
+                        != reference.credit_counts() \
+                        or shaper._pending_bin != reference._pending_bin:
+                    raise PropertyFailure(
+                        "shaper_release", scenario,
+                        f"case {case} method {method} round {round_}: "
+                        f"earliest_issue({now}) = {got}, walk = {want} "
+                        f"(credits {list(credits)}, L="
+                        f"{spec.interval_length}, "
+                        f"{type(shaper.replenisher).__name__} period "
+                        f"{shaper.replenisher.period}, counts "
+                        f"{reference.state.counts})")
+                if got is None:
+                    break
+                shaper.issue(got, req_id=round_)
+                reference_issue(reference, got, round_)
+                now = got + rng.randrange(2 * spec.interval_length + 1)
+
+
 #: name -> property, in reporting order
 PROPERTIES: Dict[str, Callable[[Scenario], None]] = {
     "kernels": prop_kernels,
@@ -361,6 +518,7 @@ PROPERTIES: Dict[str, Callable[[Scenario], None]] = {
     "relabel": prop_relabel,
     "monotonicity": prop_monotonicity,
     "bounds": prop_bounds,
+    "shaper_release": prop_shaper_release,
 }
 
 
@@ -428,7 +586,9 @@ def run_scenario(scenario: Scenario, only: Optional[str] = None,
         detail = check_once(prop, scenario)
         if detail is None:
             continue
-        cycles = (shrink_cycles(prop, scenario) if shrink
+        # shaper_release never simulates, so it has no horizon to shrink
+        cycles = (shrink_cycles(prop, scenario)
+                  if shrink and prop != "shaper_release"
                   else scenario.cycles)
         failures.append(Failure(prop=prop, scenario=scenario,
                                 detail=detail, shrunk_cycles=cycles))

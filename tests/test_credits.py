@@ -92,10 +92,3 @@ class TestReplenishAndReconfigure:
         with pytest.raises(ValueError):
             state.reconfigure(other)
 
-
-class TestNextAvailable:
-    def test_next_available_at_or_above(self):
-        state = make_state([0, 0, 0, 2, 0, 1] + [0] * 4)
-        assert state.next_available_bin_at_or_above(0) == 3
-        assert state.next_available_bin_at_or_above(4) == 5
-        assert state.next_available_bin_at_or_above(6) is None

@@ -1,5 +1,6 @@
 """Property-based tests (hypothesis) for core invariants."""
 
+import copy
 import random
 
 from hypothesis import given, settings
@@ -13,6 +14,8 @@ from repro.core.replenish import RateReplenisher, ResetReplenisher
 from repro.core.shaper import MittsShaper
 from repro.sim.cache import Cache, CacheGeometry
 from repro.sim.engine import Engine
+from repro.validate.properties import (random_shaper, reference_issue,
+                                       walk_earliest_issue)
 
 
 credit_vectors = st.lists(st.integers(min_value=0, max_value=64),
@@ -117,6 +120,39 @@ class TestShaperProperties:
             shaper.earliest_issue(now)
         assert shaper.credit_counts() == counts_before
         assert shaper.replenisher.next_boundary() == boundary_before
+
+
+    @given(st.integers(min_value=1, max_value=16),
+           st.integers(min_value=1, max_value=17),
+           st.sampled_from([MittsShaper.METHOD_DEDUCT_REFUND,
+                            MittsShaper.METHOD_TIMESTAMP]),
+           st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_release_matches_walk_oracle(self, num_bins, interval, method,
+                                         data):
+        """The closed-form release time equals the probe walk's across
+        random states, clocks, phases and both replenishment policies,
+        and the inline issue path commits what the reference does."""
+        spec = BinSpec(num_bins=num_bins, interval_length=interval)
+        credits = tuple(data.draw(st.lists(
+            st.integers(min_value=0, max_value=6),
+            min_size=num_bins, max_size=num_bins), label="credits"))
+        rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+        shaper, now = random_shaper(rng, spec, credits, method)
+        reference = copy.deepcopy(shaper)
+        for round_ in range(4):
+            release = shaper.earliest_issue(now)
+            assert release == walk_earliest_issue(reference, now)
+            assert shaper.credit_counts() == reference.credit_counts()
+            if release is None:
+                assert sum(credits) == 0
+                break
+            assert release >= now
+            shaper.issue(release, req_id=round_)
+            reference_issue(reference, release, round_)
+            assert shaper.credit_counts() == reference.credit_counts()
+            assert shaper._pending_bin == reference._pending_bin
+            now = release + rng.randrange(2 * interval + 1)
 
 
 class TestReplenishProperties:

@@ -29,6 +29,16 @@ class TestResetReplenisher:
         policy.apply_until(state, policy.period)
         assert state.counts[0] == 4
 
+    def test_refilled_is_full_allocation(self):
+        config, state = drained_state([4, 0, 2] + [0] * 7)
+        policy = ResetReplenisher(config)
+        assert policy.boundary_spacing() == policy.period
+        for k in range(3):
+            assert list(policy.refilled(state.counts, config.credits, k)) \
+                == [4, 0, 2] + [0] * 7
+        assert state.total_available() == 0
+        assert policy.next_boundary() == policy.period
+
     def test_multiple_periods_collapse_to_one_reset(self):
         config, state = drained_state([4] + [0] * 9)
         policy = ResetReplenisher(config)
@@ -104,6 +114,21 @@ class TestRateReplenisher:
         config = BinConfig.from_credits([1] * 10)
         with pytest.raises(ValueError):
             RateReplenisher(config, slices=0)
+
+    def test_refilled_matches_apply_until_without_advancing(self):
+        config, state = drained_state([8, 3, 1] + [0] * 7)
+        policy = RateReplenisher(config, slices=8, phase=5)
+        spacing = policy.boundary_spacing()
+        assert spacing == policy._slice_period
+        counts = list(state.counts)
+        boundary = policy.next_boundary()
+        for k in range(12):
+            counts = list(policy.refilled(counts, config.credits, k))
+            assert policy.next_boundary() == boundary  # pure
+            live = RateReplenisher(config, slices=8, phase=5)
+            _, live_state = drained_state([8, 3, 1] + [0] * 7)
+            live.apply_until(live_state, boundary + k * spacing)
+            assert counts == live_state.counts
 
     def test_one_slice_equals_reset(self):
         config, state_rate = drained_state([5, 2] + [0] * 8)

@@ -155,7 +155,7 @@ class TestCheckpointFormat:
         with pytest.raises(CheckpointError, match="version"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("version", [1, 2, 3])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4])
     def test_previous_format_rejected(self, tmp_path, version):
         # A file from an earlier release carries its old magic line; it
         # must fail as a version mismatch, never reach the unpickler.
@@ -168,6 +168,26 @@ class TestCheckpointFormat:
                          + raw.partition(b"\n")[2])
         with pytest.raises(CheckpointError, match=f"version {version}"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("kernel", ["heap", "batched"])
+    def test_body_holds_no_itertools_objects(self, tmp_path, kernel):
+        # Pickling itertools objects is deprecated since Python 3.12 and
+        # removed in 3.14: the engine's event counter and the request-id
+        # allocator must serialise as plain ints.
+        path = tmp_path / "counters.ckpt"
+        system = SimSystem(workload_traces(1, seed=11),
+                           config=replace(SCALED_MULTI_CONFIG, kernel=kernel))
+        system.run(500)
+        counter = system.engine._counter
+        ids = system.request_ids._count
+        save_checkpoint(system, path)
+        assert b"itertools" not in path.read_bytes()
+        # Saving reads the live counters; it never replaces them.
+        assert system.engine._counter is counter
+        assert system.request_ids._count is ids
+        resumed = load_checkpoint(path)
+        assert next(resumed.engine._counter) == next(counter)
+        assert resumed.request_ids() == system.request_ids()
 
     def test_unpicklable_system_raises_checkpoint_error(self, tmp_path):
         system = _small_system()

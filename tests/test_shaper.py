@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.bins import BinConfig, BinSpec
-from repro.core.replenish import ResetReplenisher
+from repro.core.replenish import RateReplenisher, ResetReplenisher
 from repro.core.shaper import MittsShaper
 
 
@@ -72,6 +72,41 @@ class TestStallAndAging:
         shaper = shaper_with([0] * 10)
         assert shaper.stall_forever()
         assert shaper.earliest_issue(0) is None
+
+    def test_request_ages_to_lowest_populated_bin(self):
+        # Populated bins 3, 5 and 9 (period 220): a stalled request ages
+        # to the lowest populated bin, then the next one once it drains,
+        # and waits for the boundary once only the spent bins remain.
+        shaper = shaper_with([0, 0, 0, 2, 0, 1, 0, 0, 0, 1])
+        shaper.issue(0, req_id=1)                 # boot: bin 9
+        assert shaper.earliest_issue(7) == 30     # bin 3 (lower edge 30)
+        shaper.issue(30, req_id=2)
+        shaper.issue(60, req_id=3)                # bin 3 now empty
+        assert shaper.earliest_issue(61) == 110   # bin 5: 60 + 50
+        shaper.issue(110, req_id=4)
+        assert shaper.earliest_issue(111) == \
+            shaper.replenisher.next_boundary() == 220
+
+    def test_release_far_past_many_short_periods(self):
+        # A one-cycle period puts a boundary on every cycle; the release
+        # still comes from aging alone (bin 7, lower edge 70), however
+        # many boundaries lie in between.
+        config = BinConfig.from_credits([0] * 7 + [1, 0, 0])
+        shaper = MittsShaper(config,
+                             replenisher=ResetReplenisher(config, period=1))
+        shaper.issue(0, req_id=1)
+        assert shaper.earliest_issue(1) == 70
+        assert shaper.replenisher.next_boundary() == 2
+
+    def test_drip_release_waits_for_first_nonzero_installment(self):
+        # One credit dripped over 8 one-cycle slices arrives whole in the
+        # last slice (largest remainder), at the boundary of cycle 8.
+        config = BinConfig.from_credits([1] + [0] * 9)
+        shaper = MittsShaper(config,
+                             replenisher=RateReplenisher(config, slices=8))
+        shaper.issue(0, req_id=1)
+        assert shaper.earliest_issue(1) == 8
+        assert shaper.credit_counts()[0] == 0  # answered, not applied
 
 
 class TestReplenishment:
@@ -172,6 +207,18 @@ class TestReconfigure:
         shaper.reconfigure(config, now=1000)
         assert shaper.replenisher.next_boundary() == \
             1000 + config.replenish_period()
+
+    def test_reconfigure_keeps_drip_slices(self):
+        config = BinConfig.from_credits([4] + [0] * 9)
+        shaper = MittsShaper(config,
+                             replenisher=RateReplenisher(config, slices=16))
+        new = BinConfig.from_credits([0, 64] + [0] * 8)
+        shaper.reconfigure(new, now=1000)
+        policy = shaper.replenisher
+        assert isinstance(policy, RateReplenisher)
+        assert policy.slices == 16
+        assert policy.period == new.replenish_period()
+        assert policy.next_boundary() == 1000 + new.replenish_period() // 16
 
 
 class TestRateConservation:
