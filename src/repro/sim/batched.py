@@ -5,9 +5,9 @@ The heap engine's component graph (``CoreModel -> ShaperPort -> SharedLLC
 Python call chain per simulated access.  The subclasses here collapse those
 chains when -- and only when -- the collapse is provably bit-identical:
 
-* :class:`BatchedCoreModel` replays its trace from precomputed rows
-  (:mod:`repro.sim.soa`) instead of the iterator protocol and
-  inlines the L1 lookup (the ``OrderedDict`` set operations of
+* :class:`BatchedCoreModel` replays its trace from replay rows grown in
+  chunks with the trace's prefix (:mod:`repro.sim.soa`) instead of event
+  records, and inlines the L1 lookup (the ``OrderedDict`` set operations of
   :class:`~repro.sim.cache.Cache.access`) plus the pass-through
   :class:`~repro.sim.core_model.ShaperPort` drain into its run loop.  Per-
   access statistics accumulate in locals and flush once per activation.
@@ -17,16 +17,17 @@ chains when -- and only when -- the collapse is provably bit-identical:
   trampoline events).
 * :class:`BatchedMemoryController` pops the queue head directly when the
   scheduler declares ``selects_head`` (FCFS order), and services DRAM from
-  a precomputed line -> ``(flat_bank, row, channel)`` table with the bank
-  state machine and channel-bus arithmetic inlined -- no per-dispatch
-  address mapping, no per-access ``contracts.is_enabled()`` probe.
+  the shared line -> ``(flat_bank, row, channel)`` memo (each line mapped
+  once, on first dispatch) with the bank state machine and channel-bus
+  arithmetic inlined -- no per-dispatch address mapping, no per-access
+  ``contracts.is_enabled()`` probe.
 
 Every inlined body is a transcription of the corresponding checked
 component with the same statement order for every observable effect
 (statistics, request-id allocation, event scheduling); the golden
 fingerprint suite pins the equivalence.  Each subclass also keeps a
 gate flag and falls back to the parent implementation whenever its
-preconditions (power-of-two geometry, materialisable trace, head-selecting
+preconditions (power-of-two geometry, row-replayable trace, head-selecting
 scheduler) do not hold, so these classes are accelerators, never a
 restriction on configuration space.
 
@@ -39,7 +40,7 @@ check still runs.
 from __future__ import annotations
 
 from heapq import heappush as _heappush
-from typing import Callable, FrozenSet, Optional, Sequence
+from typing import Callable, Optional
 
 from ..dram.device import DramDevice
 from .core_model import CoreModel
@@ -47,47 +48,21 @@ from .engine import _NO_ARG
 from .llc import SharedLLC
 from .memctrl import MemoryController, MemorySchedulerProtocol
 from .request import MemoryRequest
-from .soa import dram_coord_table, trace_columns
+from .soa import DerivedSlots, coord_memo, map_line, row_table
 from .stats import SystemStats
 
 
-class DerivedSlots:
-    """Pickle every slot except the derived ones; re-derive on restore.
-
-    The one checkpoint rule for state that can be rebuilt: the replay
-    rows and DRAM coordinate tables :mod:`repro.sim.soa` memoizes per
-    trace (megabytes that checkpoints should not carry) and bindings
-    that cannot pickle (a bound ``__next__`` of the request-id counter).
-    Subclasses name those slots in ``_DERIVED`` and rebuild them in a
-    ``_derive()`` method, which they also call at construction.
-    """
-
-    __slots__ = ()
-
-    _DERIVED: FrozenSet[str] = frozenset()
-
-    def __getstate__(self):
-        state = {}
-        for klass in type(self).__mro__:
-            for name in getattr(klass, "__slots__", ()):
-                if name not in self._DERIVED and hasattr(self, name):
-                    state[name] = getattr(self, name)
-        return state
-
-    def __setstate__(self, state) -> None:
-        for name, value in state.items():
-            setattr(self, name, value)
-        self._derive()
-
-
-class BatchedCoreModel(DerivedSlots, CoreModel):
-    """Trace-replaying core over precomputed rows with an inlined L1 path.
+class BatchedCoreModel(CoreModel):
+    """Trace-replaying core over replay rows with an inlined L1 path.
 
     Behaviour is bit-identical to :class:`~repro.sim.core_model.CoreModel`:
     the same accesses at the same cycles, the same request-id allocation
-    order, the same statistics.  When the trace cannot be materialised as
-    rows (or the L1 geometry is not power-of-two) the instance simply
-    runs the parent implementation.
+    order, the same statistics.  The rows are the shared
+    :class:`~repro.sim.soa.RowTable` of the trace; the core grows it only
+    when its position reaches the end of the rows it knows (``_pos ==
+    _n``), and wraps only once the rows cover the whole trace.  When the
+    trace cannot be replayed as rows (or the L1 geometry is not
+    power-of-two) the instance simply runs the parent implementation.
 
     ``_fused_llc``/``_llc_pack`` stay ``None`` unless the owning
     :class:`~repro.sim.system.SimSystem` binds the core->LLC inline (it
@@ -95,38 +70,55 @@ class BatchedCoreModel(DerivedSlots, CoreModel):
     :class:`BatchedLLC` sharing this core's allocator and statistics).
     """
 
-    __slots__ = ("_pos", "_rows", "_n", "_fast", "_next_rid", "_fused_llc",
-                 "_llc_pack")
+    __slots__ = ("_table", "_rows", "_n", "_fast", "_next_rid",
+                 "_fused_llc", "_llc_pack")
 
-    _DERIVED = frozenset({"_rows", "_n", "_fast", "_next_rid"})
+    _DERIVED = CoreModel._DERIVED | {"_table", "_rows", "_n", "_fast",
+                                     "_next_rid"}
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self._pos = 0
         self._fused_llc = None
         self._llc_pack = None
-        self._derive()
-        if self._fast:
-            # The replay position lives in ``_pos``: the iterator is never
-            # read, and dropping it keeps the trace out of checkpoints.
-            self._iter = None
 
     def _derive(self) -> None:
-        """(Re)derive the replay rows; clears the fast flag on failure."""
+        """(Re)derive the replay rows up to the saved position; clears the
+        fast flag when the trace cannot be replayed as rows."""
         # Request ids come from ``next()`` on the allocator's raw counter
         # (one C call) instead of the allocator's ``__call__`` frame.
         allocator = self._new_req_id
         counter = getattr(allocator, "_count", None)
         self._next_rid = counter.__next__ if counter is not None \
             else allocator
-        rows = None
+        table = None
         l1 = self.l1
         if (self._line_shift is not None and l1._set_mask is not None
                 and l1._line_shift == self._line_shift):
-            rows = trace_columns(self.trace, self.line_bytes)
+            table = row_table(self.trace, self.line_bytes)
+        self._table = table
+        self._fast = table is not None
+        if table is None:
+            self._rows = None
+            self._n = 0
+            CoreModel._derive(self)
+            return
+        rows = table.rows
+        while len(rows) < self._pos and table.grow():
+            pass
+        self._prefix = table.prefix
         self._rows = rows
-        self._n = len(rows) if rows is not None else 0
-        self._fast = rows is not None
+        self._n = len(rows)
+
+    def _next_row(self, pos: int) -> int:
+        """Called at ``pos == _n``: pick up rows another replay added, or
+        grow the table by a chunk, or -- once the rows are the whole
+        trace -- wrap.  Returns the position to read."""
+        table = self._table
+        if len(table.rows) == pos and not table.grow():
+            self.wraps += 1
+            return 0
+        self._n = len(table.rows)
+        return pos
 
     # ------------------------------------------------------------------
 
@@ -158,8 +150,7 @@ class BatchedCoreModel(DerivedSlots, CoreModel):
                 if pending is None:
                     pos = self._pos
                     if pos == self._n:
-                        self.wraps += 1
-                        pos = 0
+                        pos = self._next_row(pos)
                     work, address, is_write, line = self._rows[pos]
                     self._pos = pos + 1
                     multiplier = self.throttle_multiplier
@@ -393,20 +384,22 @@ class BatchedLLC(SharedLLC):
 
 
 class BatchedMemoryController(DerivedSlots, MemoryController):
-    """Memory controller with head-select dispatch over precomputed
-    DRAM coordinates.
+    """Memory controller with head-select dispatch over memoized DRAM
+    coordinates.
 
-    The fast dispatch requires (a) a scheduler that always selects the
-    queue head (``selects_head``, i.e. strict FCFS order) and (b) the
-    coordinate table covering the request's address; otherwise it falls
-    back to the generic select/map/service path per request.  The table
-    is the union of the memoized per-trace tables of ``traces``.  The
-    inlined bank state machine is :meth:`repro.dram.bank.Bank.access`
-    with the timing sums precomputed, followed by the channel-bus
-    serialisation of :meth:`repro.dram.device.DramDevice.service`.
+    The fast dispatch requires a scheduler that always selects the queue
+    head (``selects_head``, i.e. strict FCFS order) and a power-of-two
+    line size; otherwise it runs the generic select/map/service path per
+    request.  It reads each request's ``(flat_bank, row, channel)`` from
+    the shared per-geometry memo of :func:`repro.sim.soa.coord_memo`,
+    mapping a line with the scalar mapper the first time any controller
+    dispatches it.  The inlined bank state machine is
+    :meth:`repro.dram.bank.Bank.access` with the timing sums precomputed,
+    followed by the channel-bus serialisation of
+    :meth:`repro.dram.device.DramDevice.service`.
     """
 
-    __slots__ = ("_traces", "_coords", "_dshift", "_fast_select",
+    __slots__ = ("_coords", "_dshift", "_fast_select",
                  "_skip_on_complete", "_timing_pack")
 
     _DERIVED = frozenset({"_coords", "_fast_select"})
@@ -414,14 +407,12 @@ class BatchedMemoryController(DerivedSlots, MemoryController):
     def __init__(self, engine, dram: DramDevice,
                  scheduler: MemorySchedulerProtocol,
                  complete: Callable[[MemoryRequest], None],
-                 traces: Sequence,
                  queue_depth: int = 32,
                  stats: Optional[SystemStats] = None) -> None:
         super().__init__(engine, dram, scheduler, complete,
                          queue_depth=queue_depth, stats=stats)
-        self._traces = tuple(traces)
         timing = dram.timing
-        # only read on the fast path, whose table needs a power-of-two line
+        # only read on the fast path, which needs a power-of-two line
         self._dshift = timing.line_bytes.bit_length() - 1
         self._skip_on_complete = (type(scheduler).on_complete
                                   is MemorySchedulerProtocol.on_complete)
@@ -435,20 +426,12 @@ class BatchedMemoryController(DerivedSlots, MemoryController):
         self._derive()
 
     def _derive(self) -> None:
-        """(Re)build the coordinate table; only the fast dispatch reads it."""
-        coords = None
-        if getattr(self.scheduler, "selects_head", False):
-            dram = self.dram
-            coords = {}
-            for trace in self._traces:
-                table = dram_coord_table(trace, dram.timing,
-                                         dram.mapper.scheme)
-                if table is None:
-                    coords = None
-                    break
-                coords.update(table)
-        self._coords = coords
-        self._fast_select = coords is not None
+        """(Re)fetch the shared coordinate memo and the fast-path gate."""
+        dram = self.dram
+        line_bytes = dram.timing.line_bytes
+        self._coords = coord_memo(dram.timing, dram.mapper.scheme)
+        self._fast_select = (getattr(self.scheduler, "selects_head", False)
+                             and line_bytes & (line_bytes - 1) == 0)
 
     def _dispatch(self) -> None:
         if not self._fast_select:
@@ -467,7 +450,8 @@ class BatchedMemoryController(DerivedSlots, MemoryController):
         banks = dram.banks
         bus_free = dram.bus_free
         complete_cb = self._complete_cb
-        coords_get = self._coords.get
+        coords = self._coords
+        coords_get = coords.get
         dshift = self._dshift
         (t_bl, t_rc, t_rp, t_wr, t_rcd_bl, t_rp_rcd_bl,
          hit_lat, closed_lat, conflict_lat) = self._timing_pack
@@ -481,43 +465,43 @@ class BatchedMemoryController(DerivedSlots, MemoryController):
             next_refresh = dram._next_refresh
             if next_refresh is not None and now >= next_refresh:
                 dram._maybe_refresh(now)
-            entry = coords_get(request.address >> dshift)
+            line = request.address >> dshift
+            entry = coords_get(line)
             if entry is None:
-                done = dram.service(request.address, now, request.is_write)
+                entry = map_line(coords, dram.mapper, line)
+            flat, row, channel = entry
+            bank = banks[flat]
+            start = bank.ready_cycle
+            if now > start:
+                start = now
+            open_row = bank.open_row
+            if open_row == row:
+                done = start + hit_lat
+                next_ready = start + t_bl
+                bank.row_hits += 1
             else:
-                flat, row, channel = entry
-                bank = banks[flat]
-                start = bank.ready_cycle
-                if now > start:
-                    start = now
-                open_row = bank.open_row
-                if open_row == row:
-                    done = start + hit_lat
-                    next_ready = start + t_bl
-                    bank.row_hits += 1
+                gate = bank.last_activate + t_rc
+                if gate > start:
+                    start = gate
+                if open_row is None:
+                    done = start + closed_lat
+                    next_ready = start + t_rcd_bl
+                    bank.last_activate = start
                 else:
-                    gate = bank.last_activate + t_rc
-                    if gate > start:
-                        start = gate
-                    if open_row is None:
-                        done = start + closed_lat
-                        next_ready = start + t_rcd_bl
-                        bank.last_activate = start
-                    else:
-                        done = start + conflict_lat
-                        next_ready = start + t_rp_rcd_bl
-                        bank.last_activate = start + t_rp
-                    bank.row_misses += 1
-                    bank.open_row = row
-                if request.is_write:
-                    next_ready += t_wr
-                bank.ready_cycle = next_ready
-                bus_start = done - t_bl
-                free_at = bus_free[channel]
-                if free_at > bus_start:
-                    bus_start = free_at
-                done = bus_start + t_bl
-                bus_free[channel] = done
+                    done = start + conflict_lat
+                    next_ready = start + t_rp_rcd_bl
+                    bank.last_activate = start + t_rp
+                bank.row_misses += 1
+                bank.open_row = row
+            if request.is_write:
+                next_ready += t_wr
+            bank.ready_cycle = next_ready
+            bus_start = done - t_bl
+            free_at = bus_free[channel]
+            if free_at > bus_start:
+                bus_start = free_at
+            done = bus_start + t_bl
+            bus_free[channel] = done
             inflight += 1
             dispatched += 1
             # inline engine.schedule(done, complete_cb, request)

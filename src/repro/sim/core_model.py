@@ -22,12 +22,13 @@ engine as ``(callback, arg)`` pairs instead of closures.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, Iterable, Iterator, Optional
+from typing import Callable, Deque, Dict, Iterable, Optional
 
 from ..core.limiter import NoLimiter, SourceLimiter
 from .cache import Cache
 from .engine import Engine
 from .request import MemoryRequest, RequestIdAllocator, _default_request_ids
+from .soa import TraceReplay
 from .stats import CoreStats
 
 
@@ -147,12 +148,17 @@ class ShaperPort:
             self._drain()
 
 
-class CoreModel:
-    """One trace-replaying core with an L1 cache and MSHR-bounded MLP."""
+class CoreModel(TraceReplay):
+    """One trace-replaying core with an L1 cache and MSHR-bounded MLP.
 
-    __slots__ = ("core_id", "engine", "trace", "l1", "port", "stats",
-                 "mlp", "line_bytes", "throttle_multiplier", "_iter",
-                 "wraps", "outstanding", "_blocked", "_block_start",
+    The trace is replayed by position (:class:`~repro.sim.soa.TraceReplay`)
+    from its shared growing prefix, so a run synthesises only what it
+    reads and a checkpoint carries the position, not the events.
+    """
+
+    __slots__ = ("core_id", "engine", "l1", "port", "stats",
+                 "mlp", "line_bytes", "throttle_multiplier",
+                 "outstanding", "_blocked", "_block_start",
                  "_pending_work", "_running", "_run_cb", "_new_req_id",
                  "_line_shift")
 
@@ -166,7 +172,6 @@ class CoreModel:
             raise ValueError("mlp must be >= 1")
         self.core_id = core_id
         self.engine = engine
-        self.trace = trace
         self.l1 = l1
         self.port = port
         self.stats = stats
@@ -174,8 +179,6 @@ class CoreModel:
         self.line_bytes = line_bytes
         #: >1.0 slows the core's compute (FST-style source throttling knob)
         self.throttle_multiplier = throttle_multiplier
-        self._iter: Iterator = iter(trace)
-        self.wraps = 0
         self.outstanding: Dict[int, bool] = {}
         self._blocked = False
         self._block_start = 0
@@ -185,20 +188,13 @@ class CoreModel:
         self._new_req_id = req_ids or _default_request_ids
         self._line_shift = line_bytes.bit_length() - 1 \
             if line_bytes & (line_bytes - 1) == 0 else None
+        self._start_replay(trace)
 
     def start(self) -> None:
         """Schedule the first activity; call once before ``engine.run``."""
         self.engine.schedule(self.engine.now, self._run_cb)
 
     # ------------------------------------------------------------------
-
-    def _next_event(self):
-        try:
-            return next(self._iter)
-        except StopIteration:
-            self.wraps += 1
-            self._iter = iter(self.trace)
-            return next(self._iter)
 
     def _run(self) -> None:
         """Process trace events until compute time elapses or we block."""

@@ -25,12 +25,13 @@ The model is drop-in: pass ``core_model="window"`` to
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Iterable, Iterator, Optional
+from typing import Deque, Dict, Iterable, Optional
 
 from .cache import Cache
 from .core_model import ShaperPort
 from .engine import Engine
 from .request import MemoryRequest, RequestIdAllocator, _default_request_ids
+from .soa import TraceReplay
 from .stats import CoreStats
 
 
@@ -52,12 +53,16 @@ class _WindowEntry:
         self.dep = dep
 
 
-class WindowCoreModel:
-    """Trace-driven core with an in-order-retire instruction window."""
+class WindowCoreModel(TraceReplay):
+    """Trace-driven core with an in-order-retire instruction window.
 
-    __slots__ = ("core_id", "engine", "trace", "l1", "port", "stats",
+    Like :class:`~repro.sim.core_model.CoreModel` it replays its trace by
+    position over the shared growing prefix.
+    """
+
+    __slots__ = ("core_id", "engine", "l1", "port", "stats",
                  "window", "width", "mshrs", "line_bytes",
-                 "throttle_multiplier", "_iter", "wraps", "_rob",
+                 "throttle_multiplier", "_rob",
                  "outstanding", "_deferred", "_staged", "_stage_ready",
                  "_last_entry", "_ticking", "_stall_started", "_tick_cb",
                  "_new_req_id")
@@ -72,7 +77,6 @@ class WindowCoreModel:
             raise ValueError("window, width and mshrs must be >= 1")
         self.core_id = core_id
         self.engine = engine
-        self.trace = trace
         self.l1 = l1
         self.port = port
         self.stats = stats
@@ -81,8 +85,6 @@ class WindowCoreModel:
         self.mshrs = mshrs
         self.line_bytes = line_bytes
         self.throttle_multiplier = throttle_multiplier
-        self._iter: Iterator = iter(trace)
-        self.wraps = 0
         self._rob: Deque[_WindowEntry] = deque()
         #: line -> entries waiting on it (coalescing + wakeup)
         self.outstanding: Dict[int, list] = {}
@@ -97,6 +99,7 @@ class WindowCoreModel:
         self._stall_started: Optional[int] = None
         self._tick_cb = self._tick
         self._new_req_id = req_ids or _default_request_ids
+        self._start_replay(trace)
 
     # ------------------------------------------------------------------
 
@@ -108,14 +111,6 @@ class WindowCoreModel:
         """Compatibility shim: components asking for the MLP knob get the
         MSHR count (the hard upper bound this model enforces)."""
         return self.mshrs
-
-    def _next_event(self):
-        try:
-            return next(self._iter)
-        except StopIteration:
-            self.wraps += 1
-            self._iter = iter(self.trace)
-            return next(self._iter)
 
     # ------------------------------------------------------------------
     # the per-cycle pipeline step (event-driven: only scheduled when

@@ -1,39 +1,111 @@
-"""Derivable per-trace tables for the batched simulation kernel.
+"""Derivable per-trace state: replay positions, row tables, DRAM coordinates.
 
-The heap kernel replays traces through the iterator protocol and derives
-everything per access: line number, cache set, DRAM coordinates.  The
-batched kernel instead precomputes two tables *once per trace*:
+Cores replay a trace by position over its growing prefix
+(:class:`~repro.workloads.trace.TracePrefix`), so a run materialises only
+the chunks of events it reaches.  The batched kernel adds two accelerators
+on top:
 
 * the replay rows -- one ``(work, address, is_write, line)`` tuple per
-  event, so the core's run loop fetches an access with one index plus an
-  unpack;
-* the DRAM coordinate table -- every distinct line mapped to its
-  ``(flat_bank, row, channel)`` triple.
+  event, grown in the same chunks as the prefix, so the core's run loop
+  fetches an access with one index plus an unpack;
+* the DRAM coordinate memo -- one shared ``line -> (flat_bank, row,
+  channel)`` dict per ``(timing, scheme)``, filled with the scalar mapper
+  the first time a memory controller dispatches a line.
 
-Both are built by plain Python loops over plain ``int``/``bool`` values
-and memoized per ``(profile, seed)`` -- the same key the trace generator's
-own memo uses -- because the same seeded trace drives many systems
-(slowdown baselines, benchmark repeats, GA evaluations).  Components only
-hold references to these tables; since they are derivable from the trace,
-checkpoints never carry them (see :class:`repro.sim.batched.DerivedSlots`).
+Rows are plain ``int``/``bool`` tuples memoized per ``(profile, seed)`` --
+the key the trace generator's own prefix memo uses -- because the same
+seeded trace drives many systems (slowdown baselines, benchmark repeats,
+GA evaluations).  Every memo is bounded.  Components only hold references
+to this state; since it is derivable from the trace, checkpoints never
+carry it (:class:`DerivedSlots`), and a restore regenerates a prefix up to
+the saved position.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from ..dram.address_map import AddressMapper
 from ..dram.timing import DramTiming
+from ..workloads.trace import TracePrefix, trace_prefix
 
 #: one replayed access: ``(work, address, is_write, line)``
 Row = Tuple[int, int, bool, int]
+#: one mapped DRAM line: ``(flat_bank, row, channel)``
+Coord = Tuple[int, int, int]
 
-#: bounded memos (same policy as the trace generator's stream memo)
-_ROW_MEMO: "OrderedDict[Tuple, List[Row]]" = OrderedDict()
-_COORD_MEMO: "OrderedDict[Tuple, Dict[int, Tuple[int, int, int]]]" = \
-    OrderedDict()
+#: bounded memos (same policy as the trace generator's prefix memo)
+_ROW_MEMO: "OrderedDict[Tuple, RowTable]" = OrderedDict()
+_COORD_MEMO: "OrderedDict[Tuple, Dict[int, Coord]]" = OrderedDict()
 _MEMO_MAX = 64
+#: lines one coordinate memo holds; filling a full memo clears it first
+_COORD_LINES_MAX = 1 << 17
+
+
+class DerivedSlots:
+    """Pickle every slot except the derived ones; re-derive on restore.
+
+    The one checkpoint rule for state that can be rebuilt: trace prefixes,
+    replay rows and the DRAM coordinate memo (megabytes that checkpoints
+    should not carry), and bindings that cannot pickle (a bound
+    ``__next__`` of the request-id counter).  Subclasses name those slots
+    in ``_DERIVED`` and rebuild them in a ``_derive()`` method, which they
+    also call at construction.
+    """
+
+    __slots__ = ()
+
+    _DERIVED: FrozenSet[str] = frozenset()
+
+    def __getstate__(self):
+        state = {}
+        for klass in type(self).__mro__:
+            for name in getattr(klass, "__slots__", ()):
+                if name not in self._DERIVED and hasattr(self, name):
+                    state[name] = getattr(self, name)
+        return state
+
+    def __setstate__(self, state) -> None:
+        for name, value in state.items():
+            setattr(self, name, value)
+        self._derive()
+
+
+class TraceReplay(DerivedSlots):
+    """A core's replay position: the ``(_pos, wraps)`` pair over a prefix.
+
+    The prefix is derived: a restore regenerates it up to ``_pos``.  A
+    replay wraps to the first event only once the prefix is the whole
+    trace.
+    """
+
+    __slots__ = ("trace", "wraps", "_pos", "_prefix")
+
+    _DERIVED = frozenset({"_prefix"})
+
+    def _start_replay(self, trace) -> None:
+        self.trace = trace
+        self.wraps = 0
+        self._pos = 0
+        self._derive()
+
+    def _derive(self) -> None:
+        prefix = trace_prefix(self.trace)
+        prefix.reach(self._pos)
+        self._prefix = prefix
+
+    def _next_event(self):
+        pos = self._pos
+        prefix = self._prefix
+        events = prefix.events
+        if pos == len(events) and not prefix.extend():
+            if not events:
+                raise ValueError("cannot replay an empty trace")
+            self.wraps += 1
+            pos = 0
+        self._pos = pos + 1
+        return events[pos]
 
 
 def _shift_for(value: int) -> Optional[int]:
@@ -61,13 +133,42 @@ def _memo_put(memo: OrderedDict, key: Tuple, value) -> None:
         memo.popitem(last=False)
 
 
-def trace_columns(trace, line_bytes: int) -> Optional[List[Row]]:
-    """Build (or fetch) the replay rows of ``trace``.
+class RowTable:
+    """Replay rows of one trace, grown in step with its prefix."""
 
-    Returns ``None`` when the trace cannot be materialised as rows
-    (non-power-of-two line size, or events that are not
-    ``(work, address, is_write, ...)`` records); callers fall back to the
-    iterator-driven core model in that case.
+    __slots__ = ("rows", "prefix", "shift")
+
+    def __init__(self, prefix: TracePrefix, shift: int) -> None:
+        self.rows: List[Row] = []
+        self.prefix = prefix
+        self.shift = shift
+
+    def grow(self) -> bool:
+        """Append rows up to the end of the prefix, extending the prefix
+        by a chunk first when the rows have caught up; ``False`` (nothing
+        appended) once the rows cover the whole trace."""
+        rows = self.rows
+        prefix = self.prefix
+        start = len(rows)
+        if start == len(prefix.events) and not prefix.extend():
+            return False
+        shift = self.shift
+        append = rows.append
+        for event in prefix.events[start:]:
+            address = int(event[1])
+            append((int(event[0]), address, bool(event[2]),
+                    address >> shift))
+        return True
+
+
+def row_table(trace, line_bytes: int) -> Optional[RowTable]:
+    """Fetch (or start) the growing row table of ``trace``.
+
+    A new table converts its first chunk at once.  Returns ``None`` when
+    the trace cannot be replayed as rows (non-power-of-two line size, an
+    empty trace, or first-chunk events that are not ``(work, address,
+    is_write, ...)`` records); callers fall back to the event-driven core
+    model in that case.
     """
     shift = _shift_for(line_bytes)
     if shift is None:
@@ -78,48 +179,68 @@ def trace_columns(trace, line_bytes: int) -> Optional[List[Row]]:
         cached = _ROW_MEMO.get(memo_key)
         if cached is not None:
             return cached
-    rows: List[Row] = []
     try:
-        for event in trace:
-            address = int(event[1])
-            rows.append((int(event[0]), address, bool(event[2]),
-                         address >> shift))
+        table = RowTable(trace_prefix(trace), shift)
+        if not table.grow():
+            return None
     except (TypeError, IndexError):
         return None
-    if not rows:
-        return None
     if memo_key is not None:
-        _memo_put(_ROW_MEMO, memo_key, rows)
-    return rows
+        _memo_put(_ROW_MEMO, memo_key, table)
+    return table
+
+
+def trace_columns(trace, line_bytes: int) -> Optional[List[Row]]:
+    """The replay rows of the whole of ``trace`` (synthesising what is
+    missing), or ``None`` where :func:`row_table` gives none."""
+    table = row_table(trace, line_bytes)
+    if table is None:
+        return None
+    while table.grow():
+        pass
+    return table.rows
+
+
+def coord_memo(timing: DramTiming, scheme: str) -> Dict[int, Coord]:
+    """The shared ``line -> (flat_bank, row, channel)`` memo of one DRAM
+    geometry; :func:`map_line` fills it."""
+    key = (timing, scheme)
+    memo = _COORD_MEMO.get(key)
+    if memo is None:
+        memo = {}
+        _memo_put(_COORD_MEMO, key, memo)
+    return memo
+
+
+def map_line(memo: Dict[int, Coord], mapper: AddressMapper,
+             line: int) -> Coord:
+    """Map ``line`` with the scalar mapper and record it in ``memo``."""
+    coords = mapper.map(line * mapper.timing.line_bytes)
+    entry = (mapper.flat_index(coords), coords.row, coords.channel)
+    if len(memo) >= _COORD_LINES_MAX:
+        memo.clear()
+    memo[line] = entry
+    return entry
 
 
 def dram_coord_table(trace, timing: DramTiming,
-                     scheme: str) -> Optional[Dict[int, Tuple[int, int, int]]]:
+                     scheme: str) -> Optional[Dict[int, Coord]]:
     """DRAM line -> ``(flat_bank, row, channel)`` for a trace's addresses.
 
-    Keyed by ``address >> log2(timing.line_bytes)``.  Covers every address
-    the trace touches -- and therefore every dirty-victim writeback too,
-    since victims are previously-filled lines of the same stream.  The
-    batched memory controller falls back to the scalar mapper for any
-    address outside the table, so the table is a pure accelerator, never a
-    correctness dependency.
+    Keyed by ``address >> log2(timing.line_bytes)`` and covering exactly
+    the lines the whole trace touches.  Fills the shared memo the batched
+    memory controller reads (:func:`coord_memo`) on the way, so calling it
+    ahead of a run keeps mapping out of the run.
     """
-    key = trace_key(trace)
-    memo_key = (key, timing, scheme) if key is not None else None
-    if memo_key is not None:
-        cached = _COORD_MEMO.get(memo_key)
-        if cached is not None:
-            return cached
     rows = trace_columns(trace, timing.line_bytes)
     if rows is None:
         return None
+    memo = coord_memo(timing, scheme)
     mapper = AddressMapper(timing, scheme=scheme)
-    line_bytes = timing.line_bytes
     table = {}
     for line in {row[3] for row in rows}:
-        coords = mapper.map(line * line_bytes)
-        table[line] = (mapper.flat_index(coords), coords.row,
-                       coords.channel)
-    if memo_key is not None:
-        _memo_put(_COORD_MEMO, memo_key, table)
+        entry = memo.get(line)
+        if entry is None:
+            entry = map_line(memo, mapper, line)
+        table[line] = entry
     return table

@@ -71,11 +71,12 @@ class SystemConfig:
     mshrs: int = 8
     #: component set on the one heap :class:`~repro.sim.engine.Engine`:
     #: "batched" assembles, with contracts off, the fused components of
-    #: :mod:`repro.sim.batched` (row-table trace replay, the DRAM
-    #: coordinate table and the core->LLC inline); "heap" assembles the
-    #: original checked components (the oracle).  With contracts on both
-    #: assemble the checked components.  Both produce bit-identical
-    #: results (pinned by the golden-fingerprint suite).
+    #: :mod:`repro.sim.batched` (row-table trace replay, FCFS dispatch
+    #: over the per-line DRAM coordinate memo and the core->LLC inline);
+    #: "heap" assembles the original checked components (the oracle).
+    #: With contracts on both assemble the checked components.  Both
+    #: produce bit-identical results (pinned by the golden-fingerprint
+    #: suite).
     kernel: str = "batched"
 
 
@@ -212,7 +213,7 @@ class SimSystem:
         if fused:
             self.mc = BatchedMemoryController(
                 self.engine, self.dram, self.scheduler,
-                complete=self._on_dram_complete, traces=traces,
+                complete=self._on_dram_complete,
                 queue_depth=self.config.mc_queue_depth, stats=self.stats)
         else:
             self.mc = MemoryController(

@@ -9,9 +9,11 @@ the address stream mixes sequential walking with uniform jumps inside the
 phase's working set (capturing locality, hence L1/LLC filtering and DRAM
 row-buffer behaviour).
 
-Determinism: iterating a :class:`SyntheticTrace` re-seeds its RNG, so every
-iteration -- and every simulation that replays it -- sees the identical
-event sequence.
+Determinism: the generator re-seeds its RNG per trace, so every iteration
+-- and every simulation that replays it -- sees the identical event
+sequence.  The events are synthesised lazily into a shared growing prefix
+(:class:`~repro.workloads.trace.TracePrefix`): a run synthesises only the
+chunks it reads.
 """
 
 from __future__ import annotations
@@ -22,14 +24,16 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Iterator, List, Sequence, Tuple
 
-from .trace import TraceEvent
+from .trace import PrefixReplay, TraceEvent, TracePrefix
 
-#: Bounded memo of generated event streams keyed by ``(profile, seed)``.
-#: Synthesis is deterministic and :class:`~repro.workloads.trace.TraceEvent`
-#: is immutable, so replaying a cached tuple is indistinguishable from
-#: regenerating -- it just skips the per-event RNG work when the same trace
-#: drives several systems (slowdown baselines, benchmark repeats).
-_TRACE_MEMO: "OrderedDict[Tuple, Tuple[TraceEvent, ...]]" = OrderedDict()
+#: Bounded memo of growing event prefixes keyed by ``(profile, seed)``.
+#: Synthesis is a sequential seeded RNG and
+#: :class:`~repro.workloads.trace.TraceEvent` is immutable, so replaying a
+#: memoised prefix is indistinguishable from regenerating -- it just skips
+#: the per-event RNG work when the same trace drives several systems
+#: (slowdown baselines, benchmark repeats), and each prefix holds only the
+#: chunks some replay has reached.
+_TRACE_MEMO: "OrderedDict[Tuple, TracePrefix]" = OrderedDict()
 _TRACE_MEMO_MAX = 64
 
 
@@ -113,19 +117,23 @@ class SyntheticTrace:
         return self.profile.total_events
 
     def __iter__(self) -> Iterator[TraceEvent]:
+        return PrefixReplay(self.prefix())
+
+    def prefix(self) -> TracePrefix:
+        """The memoised growing prefix of this trace's events."""
         key = (self.profile, self.seed)
         try:
-            cached = _TRACE_MEMO.get(key)
+            prefix = _TRACE_MEMO.get(key)
         except TypeError:
             # Profiles holding an unhashable phase container (e.g. a list)
             # simply skip the memo.
-            return self._generate()
-        if cached is None:
-            cached = tuple(self._generate())
-            _TRACE_MEMO[key] = cached
+            return TracePrefix(self._generate())
+        if prefix is None:
+            prefix = TracePrefix(self._generate())
+            _TRACE_MEMO[key] = prefix
             if len(_TRACE_MEMO) > _TRACE_MEMO_MAX:
                 _TRACE_MEMO.popitem(last=False)
-        return iter(cached)
+        return prefix
 
     def _generate(self) -> Iterator[TraceEvent]:
         # zlib.crc32 is stable across processes (unlike builtin hash()).

@@ -5,11 +5,21 @@ followed by one memory access to ``address``.  Traces must be *replayable*:
 iterating twice yields the identical sequence, so a program's run alone and
 its run in a shared system replay the same work (the basis of the
 ``T_shared / T_single`` slowdown metrics).
+
+A simulation reads a trace through a :class:`TracePrefix`: the events
+materialised so far, grown :data:`TRACE_CHUNK` events at a time from the
+trace's own iterator, only when a replay reaches the end of what exists.
+A short run therefore costs only the events it reads, and a replay
+position is a plain ``(index, wraps)`` pair that never holds the trace.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, NamedTuple, Sequence
+from itertools import islice
+from typing import Iterator, List, NamedTuple, Optional, Sequence
+
+#: events a :class:`TracePrefix` appends per extension
+TRACE_CHUNK = 128
 
 
 class TraceEvent(NamedTuple):
@@ -25,6 +35,79 @@ class TraceEvent(NamedTuple):
     address: int
     is_write: bool
     depends: bool = False
+
+
+class TracePrefix:
+    """The leading events of a trace, extended in chunks on demand.
+
+    ``events`` only ever grows, so a reader may hold on to the list and
+    index it by position.  Once ``source`` is exhausted the prefix is the
+    whole trace and :meth:`extend` returns ``False``.
+    """
+
+    __slots__ = ("events", "_source")
+
+    def __init__(self, source: Iterator[TraceEvent]) -> None:
+        self.events: List[TraceEvent] = []
+        self._source: Optional[Iterator[TraceEvent]] = source
+
+    def extend(self) -> bool:
+        """Append the next :data:`TRACE_CHUNK` events; ``False`` (nothing
+        appended) once the prefix is the whole trace."""
+        source = self._source
+        if source is None:
+            return False
+        events = self.events
+        before = len(events)
+        events.extend(islice(source, TRACE_CHUNK))
+        if len(events) - before < TRACE_CHUNK:
+            self._source = None
+        return len(events) > before
+
+    def reach(self, count: int) -> None:
+        """Extend until at least ``count`` events exist (or the trace ends)."""
+        while len(self.events) < count and self.extend():
+            pass
+
+
+class PrefixReplay:
+    """Iterator over a :class:`TracePrefix`, extending it as it goes.
+
+    What a prefix-backed trace returns from ``__iter__``: iterating it
+    yields the trace's events, and :func:`trace_prefix` recognises it and
+    shares the prefix instead of copying the events.
+    """
+
+    __slots__ = ("prefix", "_pos")
+
+    def __init__(self, prefix: TracePrefix) -> None:
+        self.prefix = prefix
+        self._pos = 0
+
+    def __iter__(self) -> "PrefixReplay":
+        return self
+
+    def __next__(self) -> TraceEvent:
+        pos = self._pos
+        prefix = self.prefix
+        if pos == len(prefix.events) and not prefix.extend():
+            raise StopIteration
+        self._pos = pos + 1
+        return prefix.events[pos]
+
+
+def trace_prefix(trace) -> TracePrefix:
+    """The prefix a simulation replays ``trace`` from.
+
+    A trace whose iterator is a :class:`PrefixReplay` (a
+    :class:`~repro.workloads.generator.SyntheticTrace`) shares its
+    memoised prefix; any other replayable iterable gets a private prefix
+    over a fresh iterator.  Raises ``TypeError`` for a non-iterable.
+    """
+    source = iter(trace)
+    if type(source) is PrefixReplay:
+        return source.prefix
+    return TracePrefix(source)
 
 
 class ListTrace:

@@ -153,6 +153,17 @@ class TestBatchedCheckpoint:
             system.save_checkpoint(path)
         assert path.stat().st_size < 100_000
 
+    def test_heap_checkpoint_omits_the_trace(self, tmp_path):
+        # The checked cores replay by position too: their checkpoint
+        # carries (position, wraps), not an iterator over the memoised
+        # events (which made a mix-1 heap checkpoint ~600 KB).
+        config = replace(SCALED_MULTI_CONFIG, kernel="heap")
+        system = SimSystem(workload_traces(1, seed=7), config=config)
+        system.run(10_000)
+        path = tmp_path / "small.ckpt"
+        system.save_checkpoint(path)
+        assert path.stat().st_size < 100_000
+
     def test_shaped_roundtrip_matches_heap(self, tmp_path):
         # Checkpoint mid-window with aligned shapers, restore, run to the
         # horizon: the result must still equal the heap kernel's.
