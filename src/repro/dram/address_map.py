@@ -5,18 +5,37 @@ the columns of one row, then move to the next bank), which is the scheme
 DRAMSim2 defaults to and what gives streaming workloads their high
 row-buffer hit rates.
 
-Mapping runs once per DRAM service, so the mapper precomputes shift/mask
-pairs for power-of-two geometries (every shipped
-:class:`~repro.dram.timing.DramTiming`) and exposes
-:meth:`AddressMapper.flat_index` so callers that already mapped an address
-do not map it a second time just to find the flat bank index.
+A request is mapped once, on entry to the memory controller, by
+:meth:`AddressMapper.coord` -- the simulation path's one caller of
+:meth:`AddressMapper.map`.  It memoises per cache line in a bounded dict
+shared by every mapper of one ``(timing, scheme)``; a pickled mapper
+carries only its constructor arguments and fetches the memo again.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Tuple
+from collections import OrderedDict
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from .timing import DramTiming
+
+#: one request's DRAM stamp: ``(flat_bank, row, channel)``
+Coord = Tuple[int, int, int]
+
+#: shared ``line -> Coord`` memos, one per ``(timing, scheme)``
+_COORD_MEMO: "OrderedDict[Tuple, Dict[int, Coord]]" = OrderedDict()
+_MEMO_MAX = 64
+#: lines one memo holds; filling a full memo clears it first
+_COORD_LINES_MAX = 1 << 17
+
+
+def coord_memo(timing: DramTiming, scheme: str) -> Dict[int, Coord]:
+    """The shared ``line -> (flat_bank, row, channel)`` memo of one DRAM
+    geometry (at most ``_MEMO_MAX`` geometries are kept)."""
+    memo = _COORD_MEMO.setdefault((timing, scheme), {})
+    if len(_COORD_MEMO) > _MEMO_MAX:
+        _COORD_MEMO.popitem(last=False)
+    return memo
 
 
 class DramCoordinates(NamedTuple):
@@ -56,7 +75,7 @@ class AddressMapper:
 
     SCHEMES = ("row", "bank")
 
-    __slots__ = ("timing", "scheme", "columns_per_row", "_pow2")
+    __slots__ = ("timing", "scheme", "columns_per_row", "_pow2", "_memo")
 
     def __init__(self, timing: DramTiming, scheme: str = "row") -> None:
         if scheme not in self.SCHEMES:
@@ -74,6 +93,33 @@ class AddressMapper:
         self._pow2 = None
         if all(pair is not None for pair in pairs):
             self._pow2 = tuple(pairs)
+        self._memo = coord_memo(timing, scheme)
+
+    def __reduce__(self):
+        # Everything else is derived from the constructor arguments; the
+        # shared memo in particular is fetched again, never pickled.
+        return AddressMapper, (self.timing, self.scheme)
+
+    def coord(self, address: int) -> Coord:
+        """``(flat_bank, row, channel)`` of ``address``: a request's stamp.
+
+        Memoised per cache line; the returned tuple is shared by every
+        request to that line.
+        """
+        line = address // self.timing.line_bytes
+        entry = self._memo.get(line)
+        if entry is None:
+            entry = self.fresh_coord(address)
+            memo = self._memo
+            if len(memo) >= _COORD_LINES_MAX:
+                memo.clear()
+            memo[line] = entry
+        return entry
+
+    def fresh_coord(self, address: int) -> Coord:
+        """:meth:`coord` computed afresh, bypassing the memo."""
+        coords = self.map(address)
+        return (self.flat_index(coords), coords.row, coords.channel)
 
     def map(self, address: int) -> DramCoordinates:
         timing = self.timing
@@ -137,7 +183,3 @@ class AddressMapper:
         timing = self.timing
         return (coords.channel * timing.ranks_per_channel
                 + coords.rank) * timing.banks_per_rank + coords.bank
-
-    def bank_index(self, address: int) -> int:
-        """Flat bank index in ``range(timing.total_banks)``."""
-        return self.flat_index(self.map(address))

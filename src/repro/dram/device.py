@@ -6,15 +6,21 @@ at which the data burst finishes, honouring per-bank row-buffer state, the
 tRC activate window, write recovery, data-bus serialisation, and periodic
 refresh.  That is the level of fidelity MITTS and the comparator schedulers
 actually exercise -- they reorder and throttle *requests*, not DDR commands.
+Requests arrive stamped with their ``(flat_bank, row, channel)``; the
+device reads the stamp and never maps an address itself.
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import TYPE_CHECKING, List
 
-from .address_map import AddressMapper
+from ..analysis import contracts
+from .address_map import AddressMapper, Coord
 from .bank import Bank
 from .timing import DramTiming
+
+if TYPE_CHECKING:
+    from ..sim.request import MemoryRequest
 
 
 class DramDevice:
@@ -44,28 +50,26 @@ class DramDevice:
             self._refresh_bank += 1
             self._next_refresh += max(1, self.timing.t_refi // len(self.banks))
 
-    def would_row_hit(self, address: int) -> bool:
-        """True if ``address`` would hit the currently open row of its bank."""
-        coords = self.mapper.map(address)
-        bank = self.banks[self.mapper.flat_index(coords)]
-        return bank.open_row == coords.row
+    def would_row_hit(self, coord: Coord) -> bool:
+        """True if stamp ``coord`` would hit the open row of its bank."""
+        return self.banks[coord[0]].open_row == coord[1]
 
-    def bank_ready_cycle(self, address: int) -> int:
-        """Cycle at which the bank owning ``address`` can start a command."""
-        return self.banks[self.mapper.bank_index(address)].ready_cycle
-
-    def service(self, address: int, now: int, is_write: bool = False) -> int:
-        """Service one cache-line request; returns the data-complete cycle."""
+    def service(self, request: "MemoryRequest", now: int) -> int:
+        """Service one stamped cache-line request; returns the
+        data-complete cycle."""
         if self._next_refresh is not None and now >= self._next_refresh:
             self._maybe_refresh(now)
-        mapper = self.mapper
-        coords = mapper.map(address)
-        bank = self.banks[mapper.flat_index(coords)]
-        done = bank.access(coords.row, now, is_write=is_write)
+        flat, row, channel = request.dram_coord
+        if contracts.is_enabled():
+            fresh = self.mapper.fresh_coord(request.address)
+            contracts.check(request.dram_coord == fresh,
+                            "request %r stamped %r, but its address maps "
+                            "to %r", request.req_id, request.dram_coord,
+                            fresh)
+        done = self.banks[flat].access(row, now, is_write=request.is_write)
         # Serialise the data burst on the channel bus.
         t_bl = self._t_bl
         bus_free = self.bus_free
-        channel = coords.channel
         bus_start = done - t_bl
         free_at = bus_free[channel]
         if free_at > bus_start:

@@ -52,7 +52,7 @@ from ..analysis import contracts
 #: bump when the on-disk layout or the shape of the pickled object graph
 #: changes (slots or config fields added/removed), so an old file fails
 #: with :class:`CheckpointError` instead of a half-restored object
-CHECKPOINT_VERSION = 6
+CHECKPOINT_VERSION = 7
 _MAGIC_PREFIX = b"repro-checkpoint-v"
 _MAGIC = _MAGIC_PREFIX + b"%d\n" % CHECKPOINT_VERSION
 

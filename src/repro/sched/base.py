@@ -50,11 +50,13 @@ class MemoryScheduler(MemorySchedulerProtocol):
     def row_hit_first(requests: List[MemoryRequest],
                       controller: MemoryController
                       ) -> Optional[MemoryRequest]:
-        """Oldest row-hitting request, else oldest overall (FR-FCFS order)."""
+        """Oldest row-hitting request, else oldest overall (FR-FCFS order),
+        read from each request's ``dram_coord`` stamp."""
         if not requests:
             return None
+        banks = controller.dram.banks
         hits = [r for r in requests
-                if controller.dram.would_row_hit(r.address)]
+                if banks[r.dram_coord[0]].open_row == r.dram_coord[1]]
         return MemoryScheduler.oldest(hits or requests)
 
     def by_core(self, queue: List[MemoryRequest]) -> dict:

@@ -43,7 +43,7 @@ class FairQueueScheduler(MemoryScheduler):
     def _cost(self, request: MemoryRequest,
               controller: MemoryController) -> float:
         timing = controller.dram.timing
-        if controller.dram.would_row_hit(request.address):
+        if controller.dram.would_row_hit(request.dram_coord):
             return float(timing.row_hit_latency)
         return float(timing.row_conflict_latency)
 

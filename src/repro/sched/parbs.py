@@ -33,12 +33,11 @@ class ParbsScheduler(MemoryScheduler):
         self._rank: Dict[int, int] = {}
         self.batches_formed = 0
 
-    def _form_batch(self, queue: List[MemoryRequest], controller) -> None:
+    def _form_batch(self, queue: List[MemoryRequest]) -> None:
         """Mark up to ``cap`` oldest requests per (core, bank)."""
         per_core_bank: Dict[tuple, List[MemoryRequest]] = {}
         for request in queue:
-            bank = controller.dram.mapper.bank_index(request.address)
-            key = (request.core_id, bank)
+            key = (request.core_id, request.dram_coord[0])
             per_core_bank.setdefault(key, []).append(request)
         self._marked = set()
         marked_per_core: Dict[int, int] = {}
@@ -61,7 +60,7 @@ class ParbsScheduler(MemoryScheduler):
             return None
         marked = [r for r in queue if r.req_id in self._marked]
         if not marked:
-            self._form_batch(queue, controller)
+            self._form_batch(queue)
             marked = [r for r in queue if r.req_id in self._marked]
         if not marked:
             return self.row_hit_first(queue, controller)

@@ -15,21 +15,20 @@ chains when -- and only when -- the collapse is provably bit-identical:
   arithmetic of :meth:`~repro.sim.llc.SharedLLC.lookup` and schedules the
   system's fused hit/miss determinations directly (no ``_hit``/``_miss``
   trampoline events).
-* :class:`BatchedMemoryController` pops the queue head directly when the
-  scheduler declares ``selects_head`` (FCFS order), and services DRAM from
-  the shared line -> ``(flat_bank, row, channel)`` memo (each line mapped
-  once, on first dispatch) with the bank state machine and channel-bus
-  arithmetic inlined -- no per-dispatch address mapping, no per-access
-  ``contracts.is_enabled()`` probe.
+* :class:`BatchedMemoryController` keeps the checked controller's
+  select/remove/refill dispatch for every scheduler and inlines the DRAM
+  service after it: the bank state machine and channel-bus arithmetic run
+  on the request's ``(flat_bank, row, channel)`` stamp, with no
+  per-access ``contracts.is_enabled()`` probe.
 
 Every inlined body is a transcription of the corresponding checked
 component with the same statement order for every observable effect
 (statistics, request-id allocation, event scheduling); the golden
-fingerprint suite pins the equivalence.  Each subclass also keeps a
-gate flag and falls back to the parent implementation whenever its
-preconditions (power-of-two geometry, row-replayable trace, head-selecting
-scheduler) do not hold, so these classes are accelerators, never a
-restriction on configuration space.
+fingerprint suite pins the equivalence.  The core and the LLC also keep
+a gate flag and fall back to the parent implementation whenever their
+preconditions (power-of-two geometry, row-replayable trace) do not hold,
+so these classes are accelerators, never a restriction on configuration
+space.
 
 These classes are only instantiated on the fused path (``kernel:
 "batched"`` with contracts disabled); with ``REPRO_CONTRACTS=1`` the
@@ -48,7 +47,7 @@ from .engine import _NO_ARG
 from .llc import SharedLLC
 from .memctrl import MemoryController, MemorySchedulerProtocol
 from .request import MemoryRequest
-from .soa import DerivedSlots, coord_memo, map_line, row_table
+from .soa import row_table
 from .stats import SystemStats
 
 
@@ -383,26 +382,19 @@ class BatchedLLC(SharedLLC):
             engine.schedule(respond_at, self.forward_miss, writeback)
 
 
-class BatchedMemoryController(DerivedSlots, MemoryController):
-    """Memory controller with head-select dispatch over memoized DRAM
-    coordinates.
+class BatchedMemoryController(MemoryController):
+    """Memory controller with the DRAM service inlined into its dispatch.
 
-    The fast dispatch requires a scheduler that always selects the queue
-    head (``selects_head``, i.e. strict FCFS order) and a power-of-two
-    line size; otherwise it runs the generic select/map/service path per
-    request.  It reads each request's ``(flat_bank, row, channel)`` from
-    the shared per-geometry memo of :func:`repro.sim.soa.coord_memo`,
-    mapping a line with the scalar mapper the first time any controller
-    dispatches it.  The inlined bank state machine is
-    :meth:`repro.dram.bank.Bank.access` with the timing sums precomputed,
-    followed by the channel-bus serialisation of
-    :meth:`repro.dram.device.DramDevice.service`.
+    The dispatch is :meth:`MemoryController._dispatch` for every
+    scheduler -- ``select``, ``queue.remove``, window refill -- followed by
+    the bank state machine of :meth:`repro.dram.bank.Bank.access` (timing
+    sums precomputed) and the channel-bus serialisation of
+    :meth:`repro.dram.device.DramDevice.service`, both run on the
+    request's DRAM stamp (``dram_coord``, set on entry) with no
+    per-access ``contracts.is_enabled()`` probe.
     """
 
-    __slots__ = ("_coords", "_dshift", "_fast_select",
-                 "_skip_on_complete", "_timing_pack")
-
-    _DERIVED = frozenset({"_coords", "_fast_select"})
+    __slots__ = ("_skip_on_complete", "_timing_pack")
 
     def __init__(self, engine, dram: DramDevice,
                  scheduler: MemorySchedulerProtocol,
@@ -412,8 +404,6 @@ class BatchedMemoryController(DerivedSlots, MemoryController):
         super().__init__(engine, dram, scheduler, complete,
                          queue_depth=queue_depth, stats=stats)
         timing = dram.timing
-        # only read on the fast path, which needs a power-of-two line
-        self._dshift = timing.line_bytes.bit_length() - 1
         self._skip_on_complete = (type(scheduler).on_complete
                                   is MemorySchedulerProtocol.on_complete)
         #: one tuple read + unpack per dispatch instead of nine attr reads
@@ -423,41 +413,30 @@ class BatchedMemoryController(DerivedSlots, MemoryController):
             timing.t_rp + timing.t_rcd + timing.t_bl,
             timing.row_hit_latency, timing.row_closed_latency,
             timing.row_conflict_latency)
-        self._derive()
-
-    def _derive(self) -> None:
-        """(Re)fetch the shared coordinate memo and the fast-path gate."""
-        dram = self.dram
-        line_bytes = dram.timing.line_bytes
-        self._coords = coord_memo(dram.timing, dram.mapper.scheme)
-        self._fast_select = (getattr(self.scheduler, "selects_head", False)
-                             and line_bytes & (line_bytes - 1) == 0)
 
     def _dispatch(self) -> None:
-        if not self._fast_select:
-            MemoryController._dispatch(self)
-            return
         queue = self.queue
         inflight = self._inflight
-        if not queue or inflight >= self._max_inflight:
-            return
         max_inflight = self._max_inflight
+        if not queue or inflight >= max_inflight:
+            return
         engine = self.engine
         now = engine.now
+        select = self.scheduler.select
         overflow = self.overflow
         depth = self.queue_depth
         dram = self.dram
         banks = dram.banks
         bus_free = dram.bus_free
         complete_cb = self._complete_cb
-        coords = self._coords
-        coords_get = coords.get
-        dshift = self._dshift
         (t_bl, t_rc, t_rp, t_wr, t_rcd_bl, t_rp_rcd_bl,
          hit_lat, closed_lat, conflict_lat) = self._timing_pack
         dispatched = 0
         while queue and inflight < max_inflight:
-            request = queue.pop(0)
+            request = select(queue, now, self)
+            if request is None:
+                break
+            queue.remove(request)
             if overflow:
                 while overflow and len(queue) < depth:
                     queue.append(overflow.popleft())
@@ -465,11 +444,7 @@ class BatchedMemoryController(DerivedSlots, MemoryController):
             next_refresh = dram._next_refresh
             if next_refresh is not None and now >= next_refresh:
                 dram._maybe_refresh(now)
-            line = request.address >> dshift
-            entry = coords_get(line)
-            if entry is None:
-                entry = map_line(coords, dram.mapper, line)
-            flat, row, channel = entry
+            flat, row, channel = request.dram_coord
             bank = banks[flat]
             start = bank.ready_cycle
             if now > start:

@@ -7,6 +7,9 @@ an overflow FIFO (they "back up to the cores" in the paper's words) and are
 invisible to the scheduler until a slot frees, which bounds the scheduling
 window just like real hardware.
 
+A request is mapped once, on entry: its ``dram_coord`` stamp serves every
+later look (scheduler row-hit and bank tests, the DRAM service).
+
 Bank-level parallelism is preserved: the controller keeps dispatching
 selected requests to the DRAM device while the data bus is not booked too
 far ahead, so independent banks overlap their activates.
@@ -72,6 +75,7 @@ class MemoryController:
     @contracts.invariant(_queue_within_depth, _inflight_within_banks)
     def enqueue(self, request: MemoryRequest) -> None:
         request.mc_arrival_cycle = self.engine.now
+        request.dram_coord = self.dram.mapper.coord(request.address)
         queue = self.queue
         if len(queue) >= self.queue_depth:
             self.overflow.append(request)
@@ -116,7 +120,7 @@ class MemoryController:
             queue.remove(request)
             self._refill_window()
             request.dram_start_cycle = now
-            done = service(request.address, now, request.is_write)
+            done = service(request, now)
             self._inflight += 1
             self.dispatched += 1
             engine.schedule(done, complete_cb, request)
@@ -144,10 +148,10 @@ class MemorySchedulerProtocol:
     __slots__ = ()
 
     #: Declares that ``select`` always returns ``queue[0]`` (strict FCFS
-    #: over the controller's arrival-ordered queue).  The batched kernel's
-    #: memory controller replaces select-then-``queue.remove`` with a
-    #: single ``pop(0)`` when this holds; schedulers that reorder must
-    #: leave it False.
+    #: over the controller's arrival-ordered queue).  Only the analytic
+    #: bound oracle (:mod:`repro.validate.bounds`) reads it, to decide
+    #: whether its FCFS ceilings apply; schedulers that reorder must leave
+    #: it False.
     selects_head = False
 
     def select(self, queue: List[MemoryRequest], now: int,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import Optional, Tuple
 
 from .engine import peek_count
 
@@ -76,6 +77,10 @@ class MemoryRequest:
     #: MITTS bin a credit was deducted from (hybrid method 2 bookkeeping)
     shaper_bin: int = -1
     req_id: int = field(default_factory=_default_request_ids)
+    #: ``(flat_bank, row, channel)``, stamped once when the request enters
+    #: the memory controller (:meth:`repro.dram.AddressMapper.coord`); an
+    #: unstamped request fails loudly wherever the stamp is read
+    dram_coord: Optional[Tuple[int, int, int]] = None
 
     @property
     def total_latency(self) -> int:

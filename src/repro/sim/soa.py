@@ -1,16 +1,11 @@
-"""Derivable per-trace state: replay positions, row tables, DRAM coordinates.
+"""Derivable per-trace state: replay positions and row tables.
 
 Cores replay a trace by position over its growing prefix
 (:class:`~repro.workloads.trace.TracePrefix`), so a run materialises only
-the chunks of events it reaches.  The batched kernel adds two accelerators
-on top:
-
-* the replay rows -- one ``(work, address, is_write, line)`` tuple per
-  event, grown in the same chunks as the prefix, so the core's run loop
-  fetches an access with one index plus an unpack;
-* the DRAM coordinate memo -- one shared ``line -> (flat_bank, row,
-  channel)`` dict per ``(timing, scheme)``, filled with the scalar mapper
-  the first time a memory controller dispatches a line.
+the chunks of events it reaches.  The batched kernel adds one accelerator
+on top: the replay rows -- one ``(work, address, is_write, line)`` tuple
+per event, grown in the same chunks as the prefix, so the core's run loop
+fetches an access with one index plus an unpack.
 
 Rows are plain ``int``/``bool`` tuples memoized per ``(profile, seed)`` --
 the key the trace generator's own prefix memo uses -- because the same
@@ -26,32 +21,26 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from ..dram.address_map import AddressMapper
+from ..dram.address_map import AddressMapper, Coord
 from ..dram.timing import DramTiming
 from ..workloads.trace import TracePrefix, trace_prefix
 
 #: one replayed access: ``(work, address, is_write, line)``
 Row = Tuple[int, int, bool, int]
-#: one mapped DRAM line: ``(flat_bank, row, channel)``
-Coord = Tuple[int, int, int]
 
-#: bounded memos (same policy as the trace generator's prefix memo)
+#: bounded memo (same policy as the trace generator's prefix memo)
 _ROW_MEMO: "OrderedDict[Tuple, RowTable]" = OrderedDict()
-_COORD_MEMO: "OrderedDict[Tuple, Dict[int, Coord]]" = OrderedDict()
 _MEMO_MAX = 64
-#: lines one coordinate memo holds; filling a full memo clears it first
-_COORD_LINES_MAX = 1 << 17
 
 
 class DerivedSlots:
     """Pickle every slot except the derived ones; re-derive on restore.
 
-    The one checkpoint rule for state that can be rebuilt: trace prefixes,
-    replay rows and the DRAM coordinate memo (megabytes that checkpoints
-    should not carry), and bindings that cannot pickle (a bound
-    ``__next__`` of the request-id counter).  Subclasses name those slots
-    in ``_DERIVED`` and rebuild them in a ``_derive()`` method, which they
-    also call at construction.
+    The one checkpoint rule for state that can be rebuilt: trace prefixes
+    and replay rows (megabytes that checkpoints should not carry), and
+    bindings that cannot pickle (a bound ``__next__`` of the request-id
+    counter).  Subclasses name those slots in ``_DERIVED`` and rebuild
+    them in a ``_derive()`` method, which they also call at construction.
     """
 
     __slots__ = ()
@@ -201,46 +190,19 @@ def trace_columns(trace, line_bytes: int) -> Optional[List[Row]]:
     return table.rows
 
 
-def coord_memo(timing: DramTiming, scheme: str) -> Dict[int, Coord]:
-    """The shared ``line -> (flat_bank, row, channel)`` memo of one DRAM
-    geometry; :func:`map_line` fills it."""
-    key = (timing, scheme)
-    memo = _COORD_MEMO.get(key)
-    if memo is None:
-        memo = {}
-        _memo_put(_COORD_MEMO, key, memo)
-    return memo
-
-
-def map_line(memo: Dict[int, Coord], mapper: AddressMapper,
-             line: int) -> Coord:
-    """Map ``line`` with the scalar mapper and record it in ``memo``."""
-    coords = mapper.map(line * mapper.timing.line_bytes)
-    entry = (mapper.flat_index(coords), coords.row, coords.channel)
-    if len(memo) >= _COORD_LINES_MAX:
-        memo.clear()
-    memo[line] = entry
-    return entry
-
-
 def dram_coord_table(trace, timing: DramTiming,
                      scheme: str) -> Optional[Dict[int, Coord]]:
     """DRAM line -> ``(flat_bank, row, channel)`` for a trace's addresses.
 
     Keyed by ``address >> log2(timing.line_bytes)`` and covering exactly
-    the lines the whole trace touches.  Fills the shared memo the batched
-    memory controller reads (:func:`coord_memo`) on the way, so calling it
-    ahead of a run keeps mapping out of the run.
+    the lines the whole trace touches.  Fills the shared stamp memo of
+    :meth:`AddressMapper.coord` on the way, so calling it ahead of a run
+    keeps mapping out of the run.
     """
     rows = trace_columns(trace, timing.line_bytes)
     if rows is None:
         return None
-    memo = coord_memo(timing, scheme)
-    mapper = AddressMapper(timing, scheme=scheme)
-    table = {}
-    for line in {row[3] for row in rows}:
-        entry = memo.get(line)
-        if entry is None:
-            entry = map_line(memo, mapper, line)
-        table[line] = entry
-    return table
+    coord = AddressMapper(timing, scheme=scheme).coord
+    line_bytes = timing.line_bytes
+    return {line: coord(line * line_bytes)
+            for line in {row[3] for row in rows}}

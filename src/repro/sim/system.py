@@ -71,8 +71,8 @@ class SystemConfig:
     mshrs: int = 8
     #: component set on the one heap :class:`~repro.sim.engine.Engine`:
     #: "batched" assembles, with contracts off, the fused components of
-    #: :mod:`repro.sim.batched` (row-table trace replay, FCFS dispatch
-    #: over the per-line DRAM coordinate memo and the core->LLC inline);
+    #: :mod:`repro.sim.batched` (row-table trace replay, DRAM service
+    #: inlined into the controller's dispatch, the core->LLC inline);
     #: "heap" assembles the original checked components (the oracle).
     #: With contracts on both assemble the checked components.  Both
     #: produce bit-identical results (pinned by the golden-fingerprint
@@ -395,6 +395,7 @@ class SimSystem:
         # inline self.llc.forward_miss(request) == mc.enqueue(request)
         mc = self.mc
         request.mc_arrival_cycle = now
+        request.dram_coord = mc.dram.mapper.coord(request.address)
         queue = mc.queue
         sysstats = self.stats
         if len(queue) >= mc.queue_depth:

@@ -18,7 +18,10 @@ import pytest
 from repro.analysis import contracts
 from repro.core.bins import BinConfig
 from repro.core.shaper import MittsShaper
-from repro.sched.base import FrFcfsScheduler
+from repro.sched import (AtlasScheduler, FairQueueScheduler, FcfsScheduler,
+                         FrFcfsScheduler, FstController, MemGuardScheduler,
+                         MiseScheduler, ParbsScheduler, StfmScheduler,
+                         TcmScheduler, build_hybrid)
 from repro.sim.batched import BatchedLLC
 from repro.sim.engine import Engine
 from repro.sim.llc import SharedLLC
@@ -112,6 +115,54 @@ class TestSnapshotEquality:
         assert counts["heap"] == counts["batched"]
 
 
+#: every scheduler the fused controller dispatches for ("FST" is FR-FCFS
+#: with the source-throttling controller attached)
+SCHEDULERS = {
+    "FCFS": FcfsScheduler, "FR-FCFS": FrFcfsScheduler,
+    "FairQueue": FairQueueScheduler, "TCM": TcmScheduler,
+    "MemGuard": MemGuardScheduler, "MISE": MiseScheduler,
+    "STFM": StfmScheduler, "PAR-BS": ParbsScheduler,
+    "ATLAS": AtlasScheduler, "FST": FrFcfsScheduler,
+}
+
+
+def _scheduled_system(kernel: str, name: str) -> SimSystem:
+    """Mix 1 under the scheduler ``name``: a key of ``SCHEDULERS``,
+    ``"fallback"`` (no scheduler given) or ``"hybrid"`` (MITTS+MISE)."""
+    traces = workload_traces(1, seed=5)
+    cores = len(traces)
+    config = replace(SCALED_MULTI_CONFIG, kernel=kernel)
+    limiters = None
+    if name == "hybrid":
+        configs = [BinConfig.from_credits([4, 4, 3, 3, 2, 2, 1, 1, 1, 1])
+                   for _ in range(cores)]
+        scheduler, limiters = build_hybrid(cores, configs)
+    elif name == "fallback":
+        scheduler = None
+    else:
+        scheduler = SCHEDULERS[name](cores)
+    system = SimSystem(traces, config=config, limiters=limiters,
+                       scheduler=scheduler)
+    if name == "FST":
+        FstController(system, epoch=5_000)
+    return system
+
+
+@pytest.mark.parametrize("name", sorted(SCHEDULERS) + ["fallback",
+                                                       "hybrid"])
+def test_every_scheduler_matches_heap_kernel(name):
+    # The fused controller runs the scheduler's own select for every
+    # policy and inlines only the DRAM service on the request stamp.
+    results = {}
+    for kernel in ("heap", "batched"):
+        system = _scheduled_system(kernel, name)
+        system.run(40_000)
+        results[kernel] = (system.stats.snapshot(),
+                           system.stats.fingerprint(), system.mc.dispatched)
+    assert results["heap"] == results["batched"]
+    assert results["heap"][2] > 500
+
+
 class TestBatchedCheckpoint:
     def test_roundtrip_reproduces_uninterrupted_run(self, tmp_path):
         config = replace(SCALED_MULTI_CONFIG, kernel="batched")
@@ -131,13 +182,37 @@ class TestBatchedCheckpoint:
                        for core in system.cores)
             assert all(core._fused_llc is resumed.llc
                        for core in resumed.cores)
-            # The replay rows and the coordinate table are left out of
+            # The replay rows and the DRAM stamp memo are left out of
             # the checkpoint and re-derived on load; losing them would
             # still be bit-identical, just silently on the slow paths.
             assert all(core._fast for core in resumed.cores)
-            assert resumed.mc._fast_select
-            assert resumed.mc._coords == system.mc._coords
+            assert resumed.dram.mapper._memo is system.dram.mapper._memo
         resumed.run(CYCLES - CYCLES // 2)
+        assert resumed.stats.snapshot() == reference.stats.snapshot()
+        assert resumed.stats.fingerprint() == reference.stats.fingerprint()
+
+    @pytest.mark.parametrize("kernel", ["heap", "batched"])
+    def test_frfcfs_roundtrip_with_requests_queued_and_in_flight(
+            self, tmp_path, kernel):
+        # The stamps travel with the requests: a checkpoint taken while
+        # requests wait in the queue and in DRAM restores them stamped.
+        reference = _scheduled_system(kernel, "FR-FCFS")
+        reference.run(CYCLES)
+
+        system = _scheduled_system(kernel, "FR-FCFS")
+        mc = system.mc
+        while system.engine.now < CYCLES // 2 \
+                and not (len(mc.queue) > 1 and mc._inflight > 0):
+            system.run(250)
+        assert len(mc.queue) > 1 and mc._inflight > 0
+        path = tmp_path / "frfcfs.ckpt"
+        system.save_checkpoint(path)
+        resumed = SimSystem.load_checkpoint(path)
+        mapper = resumed.dram.mapper
+        assert [r.dram_coord for r in resumed.mc.queue] \
+            == [mapper.fresh_coord(r.address) for r in resumed.mc.queue]
+        assert resumed.mc._inflight == mc._inflight > 0
+        resumed.run(CYCLES - resumed.engine.now)
         assert resumed.stats.snapshot() == reference.stats.snapshot()
         assert resumed.stats.fingerprint() == reference.stats.fingerprint()
 

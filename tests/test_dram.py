@@ -6,6 +6,13 @@ from repro.dram.address_map import AddressMapper
 from repro.dram.bank import Bank
 from repro.dram.device import DramDevice
 from repro.dram.timing import DDR3_1333, DramTiming
+from repro.sim.request import MemoryRequest
+
+
+def stamped(device, address):
+    """A request stamped through the public mapping entry."""
+    return MemoryRequest(core_id=0, address=address,
+                         dram_coord=device.mapper.coord(address))
 
 
 class TestTiming:
@@ -53,7 +60,7 @@ class TestAddressMapper:
 
     def test_bank_index_range(self):
         mapper = AddressMapper(DDR3_1333)
-        indices = {mapper.bank_index(i * DDR3_1333.row_buffer_bytes)
+        indices = {mapper.coord(i * DDR3_1333.row_buffer_bytes)[0]
                    for i in range(16)}
         assert indices == set(range(8))
 
@@ -130,7 +137,7 @@ class TestDevice:
         requests = 64
         now = 0
         for i in range(requests):
-            done = device.service(i * 64, now)
+            done = device.service(stamped(device, i * 64), now)
             now = max(now, done - timing.t_cl)
         # One line per tBL after the pipeline fills.
         assert done <= timing.row_closed_latency \
@@ -138,23 +145,23 @@ class TestDevice:
 
     def test_row_hit_tracking(self):
         device, _ = self.make_device()
-        device.service(0, 0)
-        device.service(64, 0)
+        device.service(stamped(device, 0), 0)
+        device.service(stamped(device, 64), 0)
         assert device.row_hits == 1
         assert device.row_misses == 1
 
     def test_would_row_hit(self):
         device, _ = self.make_device()
-        assert not device.would_row_hit(0)
-        device.service(0, 0)
-        assert device.would_row_hit(64)
+        assert not device.would_row_hit(device.mapper.coord(0))
+        device.service(stamped(device, 0), 0)
+        assert device.would_row_hit(device.mapper.coord(64))
 
     def test_bus_serialises_parallel_banks(self):
         device, timing = self.make_device()
         # Two requests to different banks at the same cycle: second data
         # burst must wait for the bus.
-        done_a = device.service(0, 0)
-        done_b = device.service(timing.row_buffer_bytes, 0)
+        done_a = device.service(stamped(device, 0), 0)
+        done_b = device.service(stamped(device, timing.row_buffer_bytes), 0)
         assert done_b >= done_a + timing.t_bl
 
     def test_refresh_steals_bandwidth(self):
@@ -164,14 +171,16 @@ class TestDevice:
         now_busy = now_idle = 0
         count_busy = count_idle = 0
         while now_busy < horizon:
-            now_busy = busy.service(count_busy * 64, now_busy)
+            now_busy = busy.service(stamped(busy, count_busy * 64),
+                                    now_busy)
             count_busy += 1
         while now_idle < horizon:
-            now_idle = idle.service(count_idle * 64, now_idle)
+            now_idle = idle.service(stamped(idle, count_idle * 64),
+                                    now_idle)
             count_idle += 1
         assert count_busy < count_idle
 
     def test_bank_ready_cycle_accessor(self):
         device, _ = self.make_device()
-        device.service(0, 0)
-        assert device.bank_ready_cycle(0) > 0
+        device.service(stamped(device, 0), 0)
+        assert device.banks[device.mapper.coord(0)[0]].ready_cycle > 0

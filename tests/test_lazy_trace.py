@@ -2,19 +2,19 @@
 
 Cores replay a trace by ``(position, wraps)`` over its shared growing
 prefix (:class:`~repro.workloads.trace.TracePrefix`), the batched kernel's
-replay rows grow in the same chunks, and the memory controller maps each
-DRAM line once into a shared bounded memo.  These tests pin that a short
+replay rows grow in the same chunks, and every DRAM line is mapped once
+into a shared bounded memo (tested in ``test_dram_mapping.py``).  These tests pin that a short
 run synthesises only a fraction of its traces, that chunk edges and wraps
 replay exactly what the heap kernel does, that systems sharing a memo
 agree, and that a checkpoint carries the position but not the events.
 """
 
-from collections import OrderedDict
 from dataclasses import replace
 
 import pytest
 
 from repro.analysis import contracts
+from repro.dram.address_map import coord_memo
 from repro.resilience.checkpoint import load_checkpoint, save_checkpoint
 from repro.sim import soa
 from repro.sim.system import SCALED_MULTI_CONFIG, SimSystem
@@ -177,28 +177,14 @@ class TestSharedMemo:
         if not contracts.is_enabled():
             assert early.cores[0]._table is first.cores[0]._table
             assert late.cores[0]._table is first.cores[0]._table
-            assert early.mc._coords is first.mc._coords
-
-    def test_coordinate_memo_stays_bounded(self, monkeypatch):
-        monkeypatch.setattr(soa, "_COORD_MEMO", OrderedDict())
-        monkeypatch.setattr(soa, "_COORD_LINES_MAX", 64)
-        traces = workload_traces(1, seed=5)
-        system = SimSystem(traces, config=BATCHED)
-        system.run(20_000)
-        if not contracts.is_enabled():
-            # only the fused controller fills the memo
-            memo = soa.coord_memo(BATCHED.timing, BATCHED.dram_mapping)
-            assert 0 < len(memo) <= 64
-            assert len(soa._COORD_MEMO) == 1
-        reference = _snapshot(workload_traces(1, seed=5), HEAP, 20_000)
-        assert system.stats.snapshot() == reference.stats.snapshot()
+        assert early.dram.mapper._memo is first.dram.mapper._memo
 
     def test_coord_table_is_exactly_the_trace_lines(self):
         trace = _short_trace("coords", 300, seed=8)
         table = soa.dram_coord_table(trace, BATCHED.timing, "row")
         lines = {event.address >> 6 for event in trace}
         assert set(table) == lines
-        memo = soa.coord_memo(BATCHED.timing, "row")
+        memo = coord_memo(BATCHED.timing, "row")
         assert all(memo.get(line, value) == value
                    for line, value in table.items())
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.dram.address_map import AddressMapper
 from repro.dram.device import DramDevice
 from repro.dram.timing import DramTiming
 from repro.sched.base import FcfsScheduler, FrFcfsScheduler
@@ -24,8 +25,13 @@ class FakeController:
         self.dram = DramDevice(DramTiming(refresh_enabled=False))
 
 
+#: stamps hand-built requests through the public mapping entry
+MAPPER = AddressMapper(DramTiming(refresh_enabled=False))
+
+
 def request(core, address, arrival=0):
-    req = MemoryRequest(core_id=core, address=address)
+    req = MemoryRequest(core_id=core, address=address,
+                        dram_coord=MAPPER.coord(address))
     req.mc_arrival_cycle = arrival
     return req
 
@@ -48,7 +54,7 @@ class TestFcfs:
 class TestFrFcfs:
     def test_row_hit_preferred_over_older(self):
         controller = FakeController()
-        controller.dram.service(0, 0)  # open row 0 of bank 0
+        controller.dram.service(request(0, 0), 0)  # open row 0 of bank 0
         sched = FrFcfsScheduler(2)
         older_conflict = request(0, 8192 * 8, arrival=0)  # same bank, new row
         newer_hit = request(1, 64, arrival=5)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.dram.address_map import AddressMapper
 from repro.dram.device import DramDevice
 from repro.dram.timing import DramTiming
 from repro.sched.atlas import AtlasScheduler
@@ -17,8 +18,13 @@ class FakeController:
         self.dram = DramDevice(DramTiming(refresh_enabled=False))
 
 
+#: stamps hand-built requests through the public mapping entry
+MAPPER = AddressMapper(DramTiming(refresh_enabled=False))
+
+
 def request(core, address, arrival=0):
-    req = MemoryRequest(core_id=core, address=address)
+    req = MemoryRequest(core_id=core, address=address,
+                        dram_coord=MAPPER.coord(address))
     req.mc_arrival_cycle = arrival
     return req
 
@@ -81,18 +87,16 @@ class TestParbs:
         assert second is not newcomer
 
     def test_cap_limits_marks_per_core_bank(self):
-        controller = FakeController()
         sched = ParbsScheduler(1, cap=2)
         queue = [request(0, i * 64, arrival=i) for i in range(5)]
-        sched._form_batch(queue, controller)
+        sched._form_batch(queue)
         assert len(sched._marked) == 2
 
     def test_shortest_job_ranked_first(self):
-        controller = FakeController()
         sched = ParbsScheduler(2, cap=4)
         queue = [request(0, i * 64, arrival=i) for i in range(4)] \
             + [request(1, 1 << 20, arrival=10)]
-        sched._form_batch(queue, controller)
+        sched._form_batch(queue)
         assert sched._rank[1] < sched._rank[0]
 
     def test_cap_validation(self):
