@@ -12,7 +12,7 @@ reproduces an uninterrupted one hash-for-hash
 
 On-disk format (versioned + checksummed, modelled on the result cache)::
 
-    repro-checkpoint-v6\n
+    repro-checkpoint-v8\n
     <sha256 hex of meta+body>\n
     <one-line JSON meta: version, cycle, cores, pending_events>\n
     <pickle body>
@@ -52,7 +52,7 @@ from ..analysis import contracts
 #: bump when the on-disk layout or the shape of the pickled object graph
 #: changes (slots or config fields added/removed), so an old file fails
 #: with :class:`CheckpointError` instead of a half-restored object
-CHECKPOINT_VERSION = 7
+CHECKPOINT_VERSION = 8
 _MAGIC_PREFIX = b"repro-checkpoint-v"
 _MAGIC = _MAGIC_PREFIX + b"%d\n" % CHECKPOINT_VERSION
 
@@ -144,7 +144,8 @@ def read_checkpoint_meta(path) -> dict:
     without unpickling the body -- cheap enough for progress reporting."""
     path = os.fspath(path)
     try:
-        raw = open(path, "rb").read()
+        with open(path, "rb") as handle:
+            raw = handle.read()
     except OSError as exc:
         raise CheckpointError(f"cannot read checkpoint {path!r}: {exc}"
                               ) from exc
@@ -161,7 +162,8 @@ def load_checkpoint(path):
     """
     path = os.fspath(path)
     try:
-        raw = open(path, "rb").read()
+        with open(path, "rb") as handle:
+            raw = handle.read()
     except OSError as exc:
         raise CheckpointError(f"cannot read checkpoint {path!r}: {exc}"
                               ) from exc

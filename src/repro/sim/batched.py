@@ -7,8 +7,8 @@ chains when -- and only when -- the collapse is provably bit-identical:
 
 * :class:`BatchedCoreModel` replays its trace from replay rows grown in
   chunks with the trace's prefix (:mod:`repro.sim.soa`) instead of event
-  records, and inlines the L1 lookup (the ``OrderedDict`` set operations of
-  :class:`~repro.sim.cache.Cache.access`) plus the pass-through
+  records, and inlines the L1 lookup (the plain-``dict`` LRU set operations
+  of :meth:`~repro.sim.cache.Cache.access`) plus the pass-through
   :class:`~repro.sim.core_model.ShaperPort` drain into its run loop.  Per-
   access statistics accumulate in locals and flush once per activation.
 * :class:`BatchedLLC` inlines the cache access and the bank-serialisation
@@ -130,7 +130,7 @@ class BatchedCoreModel(CoreModel):
         the self-reschedule pushes straight onto the engine's heap --
         identical ``(when, seq)`` key to ``engine.schedule`` minus the
         call.  The access body inlines :meth:`Cache.access` (same
-        ``OrderedDict`` operations in the same order) and the unshaped
+        ``dict`` operations in the same order) and the unshaped
         :meth:`ShaperPort._drain` (``shaper_stall_cycles`` gains
         ``now - now == 0`` on that path, so the add is skipped).
         """
@@ -189,14 +189,14 @@ class BatchedCoreModel(CoreModel):
                 else:
                     l1 = self.l1
                     ways = l1._sets[line & l1._set_mask]
-                    if line in ways:
-                        ways.move_to_end(line)
-                        if is_write and not ways[line]:
-                            ways[line] = True
+                    dirty = ways.pop(line, None)
+                    if dirty is not None:
+                        ways[line] = dirty or is_write
                         l1.hits += 1
                         stats.l1_hits += 1
                     elif len(outstanding) >= self.mlp:
-                        # MSHRs full: block until a response frees one.
+                        # MSHRs full: block until a response frees one
+                        # (the miss left the set untouched).
                         self._blocked = True
                         self._block_start = now
                         if pending is None:
@@ -207,8 +207,8 @@ class BatchedCoreModel(CoreModel):
                         stats.l1_misses += 1
                         victim = None
                         if len(ways) >= l1._ways:
-                            vline, vdirty = ways.popitem(last=False)
-                            if vdirty:
+                            vline = next(iter(ways))
+                            if ways.pop(vline):
                                 victim = vline << self._line_shift
                                 l1.writebacks += 1
                         ways[line] = is_write
@@ -256,10 +256,9 @@ class BatchedCoreModel(CoreModel):
                                     lline & lcache._set_mask]
                                 respond_at = lstart + lhit_lat
                                 lvictim = None
-                                if lline in lways:
-                                    lways.move_to_end(lline)
-                                    if is_write and not lways[lline]:
-                                        lways[lline] = True
+                                ldirty = lways.pop(lline, None)
+                                if ldirty is not None:
+                                    lways[lline] = ldirty or is_write
                                     lcache.hits += 1
                                     llc.hits += 1
                                     stats.llc_hits += 1
@@ -267,9 +266,8 @@ class BatchedCoreModel(CoreModel):
                                 else:
                                     lcache.misses += 1
                                     if len(lways) >= lcache._ways:
-                                        lvline, lvdirty = lways.popitem(
-                                            last=False)
-                                        if lvdirty:
+                                        lvline = next(iter(lways))
+                                        if lways.pop(lvline):
                                             lvictim = lvline << lshift
                                             lcache.writebacks += 1
                                     lways[lline] = is_write
@@ -349,10 +347,9 @@ class BatchedLLC(SharedLLC):
         respond_at = start + self.hit_latency
         cores = self._stat_cores
         demand = request.shaper_bin != -2
-        if line in ways:
-            ways.move_to_end(line)
-            if request.is_write and not ways[line]:
-                ways[line] = True
+        dirty = ways.pop(line, None)
+        if dirty is not None:
+            ways[line] = dirty or request.is_write
             cache.hits += 1
             self.hits += 1
             if cores is not None and demand:
@@ -362,8 +359,8 @@ class BatchedLLC(SharedLLC):
             cache.misses += 1
             victim = None
             if len(ways) >= cache._ways:
-                vline, vdirty = ways.popitem(last=False)
-                if vdirty:
+                vline = next(iter(ways))
+                if ways.pop(vline):
                     victim = vline << self._line_shift
                     cache.writebacks += 1
             ways[line] = request.is_write

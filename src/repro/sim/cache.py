@@ -8,15 +8,20 @@ only emerges from real locality filtering, not from a flat miss ratio.
 The lookup path is hot (every simulated access goes through an L1, most
 through the LLC too), so indexing is precomputed: power-of-two line sizes
 and set counts -- every shipped configuration -- use shift/mask arithmetic
-instead of div/mod, and LRU promotion uses ``OrderedDict.move_to_end``
-(one C call) instead of pop-and-reinsert.
+instead of div/mod.
+
+Each set is a plain ``dict`` from line to dirty flag whose insertion order
+is the LRU order: a hit pops its line and reinserts it (the most recently
+used end), and an eviction pops ``next(iter(ways))`` (the least recently
+used end).  A system holds hundreds of sets, mostly empty, and a
+checkpoint pickles every one: plain dicts pickle in C, with no per-instance
+Python-level ``__reduce__``.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 
 def _shift_for(value: int) -> Optional[int]:
@@ -60,8 +65,8 @@ class Cache:
 
     def __init__(self, geometry: CacheGeometry) -> None:
         self.geometry = geometry
-        self._sets: List["OrderedDict[int, bool]"] = [
-            OrderedDict() for _ in range(geometry.num_sets)]
+        self._sets: List[Dict[int, bool]] = [
+            {} for _ in range(geometry.num_sets)]
         self.hits = 0
         self.misses = 0
         self.writebacks = 0
@@ -107,17 +112,16 @@ class Cache:
         set_index = line & mask if mask is not None \
             else line % self._num_sets
         ways = self._sets[set_index]
-        if line in ways:
-            ways.move_to_end(line)
-            if is_write and not ways[line]:
-                ways[line] = True
+        dirty = ways.pop(line, None)
+        if dirty is not None:
+            ways[line] = dirty or is_write
             self.hits += 1
             return True, None
         self.misses += 1
         victim = None
         if len(ways) >= self._ways:
-            victim_line, victim_dirty = ways.popitem(last=False)
-            if victim_dirty:
+            victim_line = next(iter(ways))
+            if ways.pop(victim_line):
                 victim = victim_line * self._line_bytes \
                     if shift is None else victim_line << shift
                 self.writebacks += 1
@@ -139,10 +143,9 @@ class Cache:
         set_index = line & mask if mask is not None \
             else line % self._num_sets
         ways = self._sets[set_index]
-        if line in ways:
-            ways.move_to_end(line)
-            if is_write and not ways[line]:
-                ways[line] = True
+        dirty = ways.pop(line, None)
+        if dirty is not None:
+            ways[line] = dirty or is_write
             self.hits += 1
             return True
         return False

@@ -1,5 +1,8 @@
 """Unit tests for the set-associative cache model."""
 
+import pickle
+import random
+
 import pytest
 
 from repro.sim.cache import Cache, CacheGeometry
@@ -141,3 +144,100 @@ class TestSetMapping:
         cache.access(0)
         cache.access(4 * 64)   # same set (stride = sets * line)
         assert not cache.probe(0)
+
+
+class ListLru:
+    """Reference LRU model: per set, a list of ``[line, dirty]`` pairs
+    from least to most recently used."""
+
+    def __init__(self, ways, sets, line):
+        self.ways, self.line = ways, line
+        self.sets = [[] for _ in range(sets)]
+        self.hits = self.misses = self.writebacks = 0
+
+    def _find(self, address):
+        line = address // self.line
+        ways = self.sets[line % len(self.sets)]
+        for index, entry in enumerate(ways):
+            if entry[0] == line:
+                return ways, line, index
+        return ways, line, None
+
+    def _touch(self, ways, index, is_write):
+        entry = ways.pop(index)
+        entry[1] = entry[1] or is_write
+        ways.append(entry)
+        self.hits += 1
+
+    def access(self, address, is_write):
+        ways, line, index = self._find(address)
+        if index is not None:
+            self._touch(ways, index, is_write)
+            return True, None
+        self.misses += 1
+        victim = None
+        if len(ways) >= self.ways:
+            victim_line, victim_dirty = ways.pop(0)
+            if victim_dirty:
+                victim = victim_line * self.line
+                self.writebacks += 1
+        ways.append([line, is_write])
+        return False, victim
+
+    def access_if_present(self, address, is_write):
+        ways, _line, index = self._find(address)
+        if index is None:
+            return False
+        self._touch(ways, index, is_write)
+        return True
+
+    def probe(self, address):
+        return self._find(address)[2] is not None
+
+    def invalidate(self, address):
+        ways, _line, index = self._find(address)
+        if index is None:
+            return False
+        del ways[index]
+        return True
+
+    @property
+    def resident_lines(self):
+        return sum(len(ways) for ways in self.sets)
+
+
+class TestAgainstReferenceLru:
+    """Seeded random operation sequences: the cache must match a
+    list-based LRU model step for step, and a pickled copy taken mid-way
+    must continue exactly as the original does."""
+
+    OPS = ("access", "access", "access", "access_if_present", "probe",
+           "invalidate")
+
+    @pytest.mark.parametrize("ways, sets, line", [
+        (4, 4, 64),   # shift/mask indexing
+        (3, 3, 48),   # div/mod indexing
+    ])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_list_model(self, ways, sets, line, seed):
+        rng = random.Random(seed)
+        cache = small_cache(ways=ways, sets=sets, line=line)
+        model = ListLru(ways, sets, line)
+        span = 3 * ways * sets * line   # three times the capacity
+        steps = 600
+        subjects = [cache]
+        for step in range(steps):
+            if step == steps // 2:
+                subjects.append(pickle.loads(pickle.dumps(cache)))
+            op = rng.choice(self.OPS)
+            address = rng.randrange(span)
+            args = (address,) if op in ("probe", "invalidate") \
+                else (address, rng.random() < 0.4)
+            expected = getattr(model, op)(*args)
+            for subject in subjects:
+                assert getattr(subject, op)(*args) == expected, (step, op)
+                assert (subject.hits, subject.misses, subject.writebacks,
+                        subject.resident_lines) == (
+                    model.hits, model.misses, model.writebacks,
+                    model.resident_lines), (step, op)
+        assert model.writebacks > 0 and model.hits > 0

@@ -8,6 +8,7 @@ is *rejected* (``CheckpointError``), never silently half-loaded.
 """
 
 import os
+import pickletools
 from dataclasses import replace
 
 import pytest
@@ -155,7 +156,7 @@ class TestCheckpointFormat:
         with pytest.raises(CheckpointError, match="version"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7])
     def test_previous_format_rejected(self, tmp_path, version):
         # A file from an earlier release carries its old magic line; it
         # must fail as a version mismatch, never reach the unpickler.
@@ -188,6 +189,24 @@ class TestCheckpointFormat:
         resumed = load_checkpoint(path)
         assert next(resumed.engine._counter) == next(counter)
         assert resumed.request_ids() == system.request_ids()
+
+    def test_checkpoint_pickles_cache_sets_natively(self, tmp_path):
+        # Cache sets are plain dicts, which pickle in C; an OrderedDict
+        # set would pickle through a Python-level __reduce__ per set.
+        path = tmp_path / "sets.ckpt"
+        with contracts.enabled_scope(False):
+            system = SimSystem(workload_traces(1, seed=11),
+                               config=replace(SCALED_MULTI_CONFIG,
+                                              kernel="batched"))
+            system.run(750)
+            save_checkpoint(system, path)
+        body = path.read_bytes().split(b"\n", 3)[3]
+        # Protocol 4+ names a global by pushing its module and name as
+        # strings before STACK_GLOBAL.
+        strings = {arg for _op, arg, _pos in pickletools.genops(body)
+                   if isinstance(arg, str)}
+        assert {"repro.sim.cache", "Cache"} <= strings
+        assert "OrderedDict" not in strings
 
     def test_unpicklable_system_raises_checkpoint_error(self, tmp_path):
         system = _small_system()
