@@ -5,10 +5,11 @@ The heap engine's component graph (``CoreModel -> ShaperPort -> SharedLLC
 Python call chain per simulated access.  The subclasses here collapse those
 chains when -- and only when -- the collapse is provably bit-identical:
 
-* :class:`BatchedCoreModel` replays its trace from replay rows grown in
-  chunks with the trace's prefix (:mod:`repro.sim.soa`) instead of event
-  records, and inlines the L1 lookup (the plain-``dict`` LRU set operations
-  of :meth:`~repro.sim.cache.Cache.access`) plus the pass-through
+* :class:`BatchedCoreModel` replays its trace by indexing the columns of
+  the trace's prefix (:class:`~repro.workloads.trace.TracePrefix`)
+  instead of building event records, and inlines the L1 lookup (the
+  plain-``dict`` LRU set operations of
+  :meth:`~repro.sim.cache.Cache.access`) plus the pass-through
   :class:`~repro.sim.core_model.ShaperPort` drain into its run loop.  Per-
   access statistics accumulate in locals and flush once per activation.
 * :class:`BatchedLLC` inlines the cache access and the bank-serialisation
@@ -26,7 +27,7 @@ component with the same statement order for every observable effect
 (statistics, request-id allocation, event scheduling); the golden
 fingerprint suite pins the equivalence.  The core and the LLC also keep
 a gate flag and fall back to the parent implementation whenever their
-preconditions (power-of-two geometry, row-replayable trace) do not hold,
+preconditions (power-of-two geometry) do not hold,
 so these classes are accelerators, never a restriction on configuration
 space.
 
@@ -42,26 +43,26 @@ from heapq import heappush as _heappush
 from typing import Callable, Optional
 
 from ..dram.device import DramDevice
+from ..workloads.trace import FLAG_WRITE
 from .core_model import CoreModel
 from .engine import _NO_ARG
 from .llc import SharedLLC
 from .memctrl import MemoryController, MemorySchedulerProtocol
 from .request import MemoryRequest
-from .soa import row_table
 from .stats import SystemStats
 
 
 class BatchedCoreModel(CoreModel):
-    """Trace-replaying core over replay rows with an inlined L1 path.
+    """Trace-replaying core over prefix columns with an inlined L1 path.
 
     Behaviour is bit-identical to :class:`~repro.sim.core_model.CoreModel`:
     the same accesses at the same cycles, the same request-id allocation
-    order, the same statistics.  The rows are the shared
-    :class:`~repro.sim.soa.RowTable` of the trace; the core grows it only
-    when its position reaches the end of the rows it knows (``_pos ==
-    _n``), and wraps only once the rows cover the whole trace.  When the
-    trace cannot be replayed as rows (or the L1 geometry is not
-    power-of-two) the instance simply runs the parent implementation.
+    order, the same statistics.  ``_works``/``_addrs``/``_flags`` are the
+    columns of the trace's shared prefix, which grow in place; the core
+    extends the prefix only when its position reaches the end of the
+    events it knows (``_pos == _n``), and wraps only once the prefix is
+    the whole trace.  When the line size or the L1 geometry is not
+    power-of-two the instance simply runs the parent implementation.
 
     ``_fused_llc``/``_llc_pack`` stay ``None`` unless the owning
     :class:`~repro.sim.system.SimSystem` binds the core->LLC inline (it
@@ -69,11 +70,11 @@ class BatchedCoreModel(CoreModel):
     :class:`BatchedLLC` sharing this core's allocator and statistics).
     """
 
-    __slots__ = ("_table", "_rows", "_n", "_fast", "_next_rid",
+    __slots__ = ("_works", "_addrs", "_flags", "_n", "_fast", "_next_rid",
                  "_fused_llc", "_llc_pack")
 
-    _DERIVED = CoreModel._DERIVED | {"_table", "_rows", "_n", "_fast",
-                                     "_next_rid"}
+    _DERIVED = CoreModel._DERIVED | {"_works", "_addrs", "_flags", "_n",
+                                     "_fast", "_next_rid"}
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
@@ -81,50 +82,45 @@ class BatchedCoreModel(CoreModel):
         self._llc_pack = None
 
     def _derive(self) -> None:
-        """(Re)derive the replay rows up to the saved position; clears the
-        fast flag when the trace cannot be replayed as rows."""
+        """(Re)derive the prefix up to the saved position and bind its
+        columns; the fast flag is clear unless the line size and the L1
+        geometry are power-of-two."""
         # Request ids come from ``next()`` on the allocator's raw counter
         # (one C call) instead of the allocator's ``__call__`` frame.
         allocator = self._new_req_id
         counter = getattr(allocator, "_count", None)
         self._next_rid = counter.__next__ if counter is not None \
             else allocator
-        table = None
+        CoreModel._derive(self)
         l1 = self.l1
-        if (self._line_shift is not None and l1._set_mask is not None
-                and l1._line_shift == self._line_shift):
-            table = row_table(self.trace, self.line_bytes)
-        self._table = table
-        self._fast = table is not None
-        if table is None:
-            self._rows = None
-            self._n = 0
-            CoreModel._derive(self)
-            return
-        rows = table.rows
-        while len(rows) < self._pos and table.grow():
-            pass
-        self._prefix = table.prefix
-        self._rows = rows
-        self._n = len(rows)
+        self._fast = (self._line_shift is not None
+                      and l1._set_mask is not None
+                      and l1._line_shift == self._line_shift)
+        prefix = self._prefix
+        self._works = prefix.works
+        self._addrs = prefix.addrs
+        self._flags = prefix.flags
+        self._n = len(prefix.works)
 
     def _next_row(self, pos: int) -> int:
-        """Called at ``pos == _n``: pick up rows another replay added, or
-        grow the table by a chunk, or -- once the rows are the whole
-        trace -- wrap.  Returns the position to read."""
-        table = self._table
-        if len(table.rows) == pos and not table.grow():
+        """Called at ``pos == _n``: pick up events another replay added,
+        or extend the prefix by a chunk, or -- once the prefix is the
+        whole trace -- wrap.  Returns the position to read."""
+        works = self._works
+        if len(works) == pos and not self._prefix.extend():
+            if not pos:
+                raise ValueError("cannot replay an empty trace")
             self.wraps += 1
             return 0
-        self._n = len(table.rows)
+        self._n = len(works)
         return pos
 
     # ------------------------------------------------------------------
 
     def _run(self) -> None:
-        """Row-driven transcription of :meth:`CoreModel._run`.
+        """Column-driven transcription of :meth:`CoreModel._run`.
 
-        Shaped for the dominant activation: one access, one row fetch,
+        Shaped for the dominant activation: one access, one event fetch,
         one self-reschedule.  Attributes are read on demand instead of
         bulk-bound up front (an activation touches each at most once), and
         the self-reschedule pushes straight onto the engine's heap --
@@ -150,7 +146,9 @@ class BatchedCoreModel(CoreModel):
                     pos = self._pos
                     if pos == self._n:
                         pos = self._next_row(pos)
-                    work, address, is_write, line = self._rows[pos]
+                    work = self._works[pos]
+                    address = self._addrs[pos]
+                    is_write = self._flags[pos] & FLAG_WRITE != 0
                     self._pos = pos + 1
                     multiplier = self.throttle_multiplier
                     if multiplier != 1.0:
@@ -180,7 +178,7 @@ class BatchedCoreModel(CoreModel):
                     if budget <= 0:
                         engine.schedule(now + 1, self._run_cb)
                         return
-                    line = address >> self._line_shift
+                line = address >> self._line_shift
                 outstanding = self.outstanding
                 stats = self.stats
                 if line in outstanding:

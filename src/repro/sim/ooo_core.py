@@ -153,8 +153,7 @@ class WindowCoreModel(TraceReplay):
             if self._staged is None:
                 event = self._next_event()
                 work = int(event.work * self.throttle_multiplier)
-                dep = self._last_entry if getattr(event, "depends",
-                                                  False) else None
+                dep = self._last_entry if event.depends else None
                 entry = _WindowEntry(work, event.address, event.is_write,
                                      dep=dep)
                 self._last_entry = entry

@@ -11,28 +11,30 @@ row-buffer behaviour).
 
 Determinism: the generator re-seeds its RNG per trace, so every iteration
 -- and every simulation that replays it -- sees the identical event
-sequence.  The events are synthesised lazily into a shared growing prefix
-(:class:`~repro.workloads.trace.TracePrefix`): a run synthesises only the
-chunks it reads.
+sequence.  The events are synthesised lazily, straight into the columns
+of a shared growing prefix (:class:`~repro.workloads.trace.TracePrefix`):
+a run synthesises only the chunks it reads, and no per-event record is
+ever built.
 """
 
 from __future__ import annotations
 
 import random
 import zlib
+from array import array
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Iterator, List, Sequence, Tuple
+from typing import Callable, Iterator, List, Sequence, Tuple
 
-from .trace import PrefixReplay, TraceEvent, TracePrefix
+from .trace import (FLAG_DEPENDS, FLAG_WRITE, PrefixReplay, TraceEvent,
+                    TracePrefix)
 
 #: Bounded memo of growing event prefixes keyed by ``(profile, seed)``.
-#: Synthesis is a sequential seeded RNG and
-#: :class:`~repro.workloads.trace.TraceEvent` is immutable, so replaying a
-#: memoised prefix is indistinguishable from regenerating -- it just skips
-#: the per-event RNG work when the same trace drives several systems
-#: (slowdown baselines, benchmark repeats), and each prefix holds only the
-#: chunks some replay has reached.
+#: Synthesis is a sequential seeded RNG and a prefix only ever appends, so
+#: replaying a memoised prefix is indistinguishable from regenerating -- it
+#: just skips the per-event RNG work when the same trace drives several
+#: systems (slowdown baselines, GA evaluations, benchmark repeats), and
+#: each prefix holds only the chunks some replay has reached.
 _TRACE_MEMO: "OrderedDict[Tuple, TracePrefix]" = OrderedDict()
 _TRACE_MEMO_MAX = 64
 
@@ -127,23 +129,29 @@ class SyntheticTrace:
         except TypeError:
             # Profiles holding an unhashable phase container (e.g. a list)
             # simply skip the memo.
-            return TracePrefix(self._generate())
+            return TracePrefix(fill=self._synthesise)
         if prefix is None:
-            prefix = TracePrefix(self._generate())
+            prefix = TracePrefix(fill=self._synthesise)
             _TRACE_MEMO[key] = prefix
             if len(_TRACE_MEMO) > _TRACE_MEMO_MAX:
                 _TRACE_MEMO.popitem(last=False)
         return prefix
 
-    def _generate(self) -> Iterator[TraceEvent]:
+    def _synthesise(self, works: array, addrs: array,
+                    flags: bytearray) -> Iterator[None]:
+        """Append the trace's events to a prefix's columns, one event per
+        step (the ``fill`` of :class:`TracePrefix`)."""
         # zlib.crc32 is stable across processes (unlike builtin hash()).
         name_hash = zlib.crc32(self.profile.name.encode("utf-8"))
         rng = random.Random((self.seed << 16) ^ name_hash)
         for phase in self.profile.phases:
-            yield from self._phase_events(phase, rng)
+            yield from self._phase_events(phase, rng, works.append,
+                                          addrs.append, flags.append)
 
-    def _phase_events(self, phase: PhaseProfile,
-                      rng: random.Random) -> Iterator[TraceEvent]:
+    def _phase_events(self, phase: PhaseProfile, rng: random.Random,
+                      add_work: Callable[[int], None],
+                      add_address: Callable[[int], None],
+                      add_flags: Callable[[int], None]) -> Iterator[None]:
         base = self.profile.base_address
         lines = max(1, phase.working_set // 64)
         hot_lines = max(1, int(lines * phase.hot_set_fraction))
@@ -177,7 +185,11 @@ class SyntheticTrace:
                 cursor = address
                 depends = rng.random() < phase.dependency_fraction
             is_write = rng.random() < phase.write_fraction
-            yield TraceEvent(gap, address, is_write, depends)
+            add_work(gap)
+            add_address(address)
+            add_flags((FLAG_WRITE if is_write else 0)
+                      | (FLAG_DEPENDS if depends else 0))
+            yield
             if in_burst:
                 if rng.random() < leave_burst:
                     in_burst = False

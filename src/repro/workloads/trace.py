@@ -11,15 +11,27 @@ materialised so far, grown :data:`TRACE_CHUNK` events at a time from the
 trace's own iterator, only when a replay reaches the end of what exists.
 A short run therefore costs only the events it reads, and a replay
 position is a plain ``(index, wraps)`` pair that never holds the trace.
+The prefix keeps its events in three compact columns (17 bytes an event)
+rather than as event objects; :meth:`TracePrefix.event` builds the
+:class:`TraceEvent` for readers that want one.
 """
 
 from __future__ import annotations
 
+from array import array
 from itertools import islice
-from typing import Iterator, List, NamedTuple, Optional, Sequence
+from typing import (Any, Callable, Iterable, Iterator, List, NamedTuple,
+                    Optional, Sequence)
 
 #: events a :class:`TracePrefix` appends per extension
 TRACE_CHUNK = 128
+
+#: largest ``work`` or ``address`` the prefix columns (``array('q')``) hold
+COLUMN_MAX = (1 << 63) - 1
+
+#: bits of a :attr:`TracePrefix.flags` byte
+FLAG_WRITE = 1
+FLAG_DEPENDS = 2
 
 
 class TraceEvent(NamedTuple):
@@ -40,34 +52,87 @@ class TraceEvent(NamedTuple):
 class TracePrefix:
     """The leading events of a trace, extended in chunks on demand.
 
-    ``events`` only ever grows, so a reader may hold on to the list and
-    index it by position.  Once ``source`` is exhausted the prefix is the
-    whole trace and :meth:`extend` returns ``False``.
+    Event ``i`` is ``works[i]`` compute cycles, then an access to byte
+    ``addrs[i]`` (both 8-byte ``array('q')`` columns), with ``flags[i]``
+    (a ``bytearray``) holding :data:`FLAG_WRITE` and :data:`FLAG_DEPENDS`.
+    The columns only ever grow, in place, so a reader may hold on to them
+    and index them by position.
+
+    The events come from ``fill(works, addrs, flags)``, an iterator that
+    appends one event to the columns per step (the trace generator, so no
+    per-event record is ever built), or from ``source``, an iterable of
+    ``(work, address, is_write, depends)`` records (a :class:`TraceEvent`
+    or a plain tuple) that :func:`_convert` appends.  Once the events run
+    out the prefix is the whole trace and :meth:`extend` returns ``False``.
     """
 
-    __slots__ = ("events", "_source")
+    __slots__ = ("works", "addrs", "flags", "_source", "_error")
 
-    def __init__(self, source: Iterator[TraceEvent]) -> None:
-        self.events: List[TraceEvent] = []
-        self._source: Optional[Iterator[TraceEvent]] = source
+    def __init__(self, source: Iterable[Any] = (),
+                 fill: Optional[Callable[..., Iterator[None]]] = None
+                 ) -> None:
+        self.works = array("q")
+        self.addrs = array("q")
+        self.flags = bytearray()
+        columns = (self.works, self.addrs, self.flags)
+        self._source: Optional[Iterator[None]] = fill(*columns) \
+            if fill is not None else _convert(source, *columns)
+        self._error: Optional[str] = None
+
+    def __len__(self) -> int:
+        return len(self.works)
 
     def extend(self) -> bool:
         """Append the next :data:`TRACE_CHUNK` events; ``False`` (nothing
-        appended) once the prefix is the whole trace."""
+        appended) once the prefix is the whole trace.
+
+        A record that does not convert, or a value outside the columns
+        (:data:`COLUMN_MAX`), raises ``ValueError`` naming the event; the
+        prefix keeps the events before it, and every later call raises
+        the same error.
+        """
         source = self._source
         if source is None:
+            if self._error is not None:
+                raise ValueError(self._error)
             return False
-        events = self.events
-        before = len(events)
-        events.extend(islice(source, TRACE_CHUNK))
-        if len(events) - before < TRACE_CHUNK:
+        flags = self.flags
+        before = len(flags)
+        try:
+            for _ in islice(source, TRACE_CHUNK):
+                pass
+        except (TypeError, ValueError, OverflowError) as error:
+            index = len(flags)
+            del self.works[index:], self.addrs[index:]
             self._source = None
-        return len(events) > before
+            self._error = f"trace event {index}: {error}"
+            raise ValueError(self._error) from None
+        if len(flags) - before < TRACE_CHUNK:
+            self._source = None
+        return len(flags) > before
 
     def reach(self, count: int) -> None:
         """Extend until at least ``count`` events exist (or the trace ends)."""
-        while len(self.events) < count and self.extend():
+        while len(self.works) < count and self.extend():
             pass
+
+    def event(self, pos: int) -> TraceEvent:
+        """Event ``pos`` as a :class:`TraceEvent`."""
+        flag = self.flags[pos]
+        return TraceEvent(self.works[pos], self.addrs[pos],
+                          flag & FLAG_WRITE != 0, flag & FLAG_DEPENDS != 0)
+
+
+def _convert(records: Iterable[Any], works: array, addrs: array,
+             flags: bytearray) -> Iterator[None]:
+    """Append each record to the columns, one per step: the one place a
+    record's fields become ``int``, ``int``, ``bool``, ``bool``."""
+    for work, address, is_write, depends in records:
+        works.append(int(work))
+        addrs.append(int(address))
+        flags.append((FLAG_WRITE if is_write else 0)
+                     | (FLAG_DEPENDS if depends else 0))
+        yield
 
 
 class PrefixReplay:
@@ -90,10 +155,10 @@ class PrefixReplay:
     def __next__(self) -> TraceEvent:
         pos = self._pos
         prefix = self.prefix
-        if pos == len(prefix.events) and not prefix.extend():
+        if pos == len(prefix.works) and not prefix.extend():
             raise StopIteration
         self._pos = pos + 1
-        return prefix.events[pos]
+        return prefix.event(pos)
 
 
 def trace_prefix(trace) -> TracePrefix:

@@ -18,7 +18,7 @@ import io
 from pathlib import Path
 from typing import Iterable, Union
 
-from .trace import ListTrace, TraceEvent
+from .trace import COLUMN_MAX, ListTrace, TraceEvent
 
 _FORMAT_HEADER = "# repro-trace v1"
 
@@ -78,6 +78,10 @@ def load_trace(source: Union[str, Path, io.TextIOBase]) -> ListTrace:
             if work < 0 or address < 0:
                 raise ValueError(
                     f"line {line_number}: negative work or address")
+            if work > COLUMN_MAX or address > COLUMN_MAX:
+                raise ValueError(
+                    f"line {line_number}: work or address above "
+                    f"{COLUMN_MAX:#x} does not fit a trace column")
             if parts[2] not in ("r", "w"):
                 raise ValueError(
                     f"line {line_number}: access kind must be r or w")

@@ -182,7 +182,7 @@ class TestBatchedCheckpoint:
                        for core in system.cores)
             assert all(core._fused_llc is resumed.llc
                        for core in resumed.cores)
-            # The replay rows and the DRAM stamp memo are left out of
+            # The prefix columns and the DRAM stamp memo are left out of
             # the checkpoint and re-derived on load; losing them would
             # still be bit-identical, just silently on the slow paths.
             assert all(core._fast for core in resumed.cores)

@@ -112,6 +112,17 @@ class TestTraceIO:
         with pytest.raises(ValueError):
             load_trace(io.StringIO(bad_line + "\n"))
 
+    @pytest.mark.parametrize("bad_line", [
+        "5 8000000000000000 r",      # address one past the column
+        "9223372036854775808 40 r",  # work one past the column
+    ])
+    def test_values_outside_the_trace_columns_rejected(self, bad_line):
+        text = "# repro-trace v1\n5 40 r\n" + bad_line + "\n"
+        with pytest.raises(ValueError, match="line 3: .*does not fit"):
+            load_trace(io.StringIO(text))
+        widest = load_trace(io.StringIO("5 7fffffffffffffff w\n"))
+        assert list(widest) == [TraceEvent(5, (1 << 63) - 1, True)]
+
     def test_loaded_trace_runs_in_simulator(self, tmp_path):
         from repro.workloads.traceio import record_benchmark
         path = tmp_path / "gcc.trace"
