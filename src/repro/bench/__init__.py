@@ -147,13 +147,9 @@ def run_benchmarks(quick: bool = False,
 
 
 #: ``(path fragment, function prefix, subsystem)`` attribution rules for
-#: ``--breakdown``; first match wins.  ``batched.py`` hosts fused methods
-#: of three different components, so its entries discriminate on the
-#: function name before the module rules apply.
+#: ``--breakdown``; first match wins.
 _BREAKDOWN_RULES: Tuple[Tuple[str, Optional[str], str], ...] = (
-    ("sim/batched", "_run", "core"),
-    ("sim/batched", "lookup", "llc"),
-    ("sim/batched", None, "memctrl+dram"),
+    ("sim/batched", None, "core"),
     # cProfile reports the heap builtins as "~" with the method repr
     ("~", "<built-in method _heapq.", "engine"),
     ("sim/engine", None, "engine"),
@@ -227,8 +223,8 @@ def verify_kernels(quick: bool = False,
     """Run every selected workload under both event kernels and compare.
 
     Each workload is built twice on the one heap engine --
-    ``kernel="heap"`` (the checked oracle components) and
-    ``kernel="batched"`` (the fused fast paths) --
+    ``kernel="heap"`` (the checked oracle core) and
+    ``kernel="batched"`` (the fused core) --
     run for the mode's cycle count, and the full statistics fingerprints
     (:meth:`~repro.sim.stats.SystemStats.fingerprint`) must be
     bit-identical.  This is the golden-fingerprint equivalence check at

@@ -1,4 +1,8 @@
-"""Per-bank DRAM state: open row tracking and ready-time bookkeeping."""
+"""Per-bank DRAM state: open row tracking and ready-time bookkeeping.
+
+The row-buffer state machine that advances this state on an access runs
+in :meth:`repro.dram.device.DramDevice.service`.
+"""
 
 from __future__ import annotations
 
@@ -11,12 +15,12 @@ from .timing import DramTiming
 
 @dataclass(slots=True)
 class Bank:
-    """One DRAM bank's row-buffer state machine.
+    """One DRAM bank's row-buffer state.
 
     The bank is modelled with two pieces of state: the currently open row
     (or ``None`` after a precharge) and the cycle at which the bank can
-    accept its next column command.  Row hit/closed/conflict latencies come
-    from :class:`~repro.dram.timing.DramTiming`.
+    accept its next column command, plus the cycle of its last activate
+    and its row hit/miss counts.
     """
 
     timing: DramTiming
@@ -26,73 +30,6 @@ class Bank:
     row_misses: int = 0
     #: cycle of the last activate, to honour the tRC window
     last_activate: int = field(default=-(10 ** 9))
-
-    def classify(self, row: int) -> str:
-        """Would an access to ``row`` be a ``hit``/``closed``/``conflict``?"""
-        if self.open_row is None:
-            return "closed"
-        if self.open_row == row:
-            return "hit"
-        return "conflict"
-
-    def access(self, row: int, now: int, is_write: bool = False) -> int:
-        """Perform an access to ``row`` starting no earlier than ``now``.
-
-        Returns the cycle at which the data burst completes.  Updates the
-        open row and the bank's ready time.  Successive column commands to
-        an open row pipeline at the burst rate (tCCD ~= tBL), so the bank
-        becomes ready for the *next* command well before this access's data
-        has returned -- this is what lets streaming traffic approach the
-        bus's peak bandwidth.  The caller (the DRAM device) serialises data
-        bursts on the shared channel bus.
-        """
-        guarded = contracts.is_enabled()
-        if guarded:
-            contracts.check(isinstance(now, int) and isinstance(row, int),
-                            "Bank.access(row=%r, now=%r): cycles and rows "
-                            "are integers", row, now)
-            contracts.check(now >= 0, "Bank.access at negative cycle %r",
-                            now)
-        prev_ready = self.ready_cycle
-        start = max(now, self.ready_cycle)
-        kind = self.classify(row)
-        if kind == "hit":
-            latency = self.timing.row_hit_latency
-            next_ready = start + self.timing.t_bl
-            self.row_hits += 1
-        elif kind == "closed":
-            start = max(start, self.last_activate + self.timing.t_rc)
-            latency = self.timing.row_closed_latency
-            next_ready = start + self.timing.t_rcd + self.timing.t_bl
-            self.last_activate = start
-            self.row_misses += 1
-        else:  # conflict: precharge, then activate
-            start = max(start, self.last_activate + self.timing.t_rc)
-            latency = self.timing.row_conflict_latency
-            next_ready = start + self.timing.t_rp + self.timing.t_rcd \
-                + self.timing.t_bl
-            self.last_activate = start + self.timing.t_rp
-            self.row_misses += 1
-        done = start + latency
-        self.open_row = row
-        recovery = self.timing.t_wr if is_write else 0
-        self.ready_cycle = next_ready + recovery
-        if guarded:
-            # Row-buffer legality: the access leaves ``row`` open, never
-            # finishes before it starts, and bank readiness only advances.
-            contracts.check(self.open_row == row,
-                            "Bank left row %r open after accessing row %r",
-                            self.open_row, row)
-            contracts.check(done >= start >= now,
-                            "Bank access time ran backwards: now=%d "
-                            "start=%d done=%d", now, start, done)
-            contracts.check(self.ready_cycle >= prev_ready,
-                            "Bank ready_cycle regressed from %d to %d",
-                            prev_ready, self.ready_cycle)
-            contracts.check(self.last_activate <= self.ready_cycle,
-                            "Bank last_activate %d beyond ready_cycle %d",
-                            self.last_activate, self.ready_cycle)
-        return done
 
     def refresh(self, now: int) -> None:
         """Apply a refresh: closes the row and blocks the bank for tRFC."""

@@ -56,19 +56,79 @@ class DramDevice:
 
     def service(self, request: "MemoryRequest", now: int) -> int:
         """Service one stamped cache-line request; returns the
-        data-complete cycle."""
+        data-complete cycle.
+
+        Runs the bank's row-buffer state machine, then serialises the data
+        burst on the channel bus.  Successive column commands to an open
+        row pipeline at the burst rate (tCCD ~= tBL), so the bank becomes
+        ready for the *next* command well before this access's data has
+        returned -- this is what lets streaming traffic approach the bus's
+        peak bandwidth.  A closed bank activates, and a bank with another
+        row open precharges first; both wait out the tRC window since the
+        bank's last activate.  Writes add write recovery to the bank's
+        ready time.
+        """
         if self._next_refresh is not None and now >= self._next_refresh:
             self._maybe_refresh(now)
         flat, row, channel = request.dram_coord
-        if contracts.is_enabled():
+        bank = self.banks[flat]
+        guarded = contracts.is_enabled()
+        if guarded:
             fresh = self.mapper.fresh_coord(request.address)
             contracts.check(request.dram_coord == fresh,
                             "request %r stamped %r, but its address maps "
                             "to %r", request.req_id, request.dram_coord,
                             fresh)
-        done = self.banks[flat].access(row, now, is_write=request.is_write)
-        # Serialise the data burst on the channel bus.
+            contracts.check(isinstance(now, int) and isinstance(row, int),
+                            "DramDevice.service(row=%r, now=%r): cycles "
+                            "and rows are integers", row, now)
+            contracts.check(now >= 0, "DRAM access at negative cycle %r",
+                            now)
+            prev_ready = bank.ready_cycle
+        timing = self.timing
         t_bl = self._t_bl
+        start = bank.ready_cycle
+        if now > start:
+            start = now
+        open_row = bank.open_row
+        if open_row == row:
+            done = start + timing.t_cl + t_bl
+            next_ready = start + t_bl
+            bank.row_hits += 1
+        else:
+            gate = bank.last_activate + timing.t_rc
+            if gate > start:
+                start = gate
+            if open_row is None:
+                done = start + timing.t_rcd + timing.t_cl + t_bl
+                next_ready = start + timing.t_rcd + t_bl
+                bank.last_activate = start
+            else:
+                t_rp = timing.t_rp
+                done = start + t_rp + timing.t_rcd + timing.t_cl + t_bl
+                next_ready = start + t_rp + timing.t_rcd + t_bl
+                bank.last_activate = start + t_rp
+            bank.row_misses += 1
+            bank.open_row = row
+        if request.is_write:
+            next_ready += timing.t_wr
+        bank.ready_cycle = next_ready
+        if guarded:
+            # Row-buffer legality: the access leaves ``row`` open, never
+            # finishes before it starts, and bank readiness only advances.
+            contracts.check(bank.open_row == row,
+                            "Bank left row %r open after accessing row %r",
+                            bank.open_row, row)
+            contracts.check(done >= start >= now,
+                            "Bank access time ran backwards: now=%d "
+                            "start=%d done=%d", now, start, done)
+            contracts.check(bank.ready_cycle >= prev_ready,
+                            "Bank ready_cycle regressed from %d to %d",
+                            prev_ready, bank.ready_cycle)
+            contracts.check(bank.last_activate <= bank.ready_cycle,
+                            "Bank last_activate %d beyond ready_cycle %d",
+                            bank.last_activate, bank.ready_cycle)
+        # Serialise the data burst on the channel bus.
         bus_free = self.bus_free
         bus_start = done - t_bl
         free_at = bus_free[channel]

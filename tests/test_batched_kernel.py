@@ -1,8 +1,9 @@
 """Heap-vs-batched kernel equivalence on full systems.
 
-Both kernels run on the one heap :class:`~repro.sim.engine.Engine`; they
-differ in component set (checked components vs. the fused ones of
-:mod:`repro.sim.batched`).  The golden-fingerprint suite pins both
+Both kernels run on the one heap :class:`~repro.sim.engine.Engine` and
+build the same LLC, memory controller and DRAM; they differ only in the
+core class (the checked :class:`~repro.sim.core_model.CoreModel` vs. the
+fused :class:`~repro.sim.batched.BatchedCoreModel`).  The golden-fingerprint suite pins both
 kernels to recorded hashes; these
 tests assert the stronger property directly -- the complete
 :meth:`~repro.sim.stats.SystemStats.snapshot` documents are *equal*
@@ -22,9 +23,11 @@ from repro.sched import (AtlasScheduler, FairQueueScheduler, FcfsScheduler,
                          FrFcfsScheduler, FstController, MemGuardScheduler,
                          MiseScheduler, ParbsScheduler, StfmScheduler,
                          TcmScheduler, build_hybrid)
-from repro.sim.batched import BatchedLLC
+from repro.sim.batched import BatchedCoreModel
+from repro.sim.core_model import CoreModel
 from repro.sim.engine import Engine
 from repro.sim.llc import SharedLLC
+from repro.sim.memctrl import MemoryController
 from repro.sim.system import (SCALED_MULTI_CONFIG, SCALED_SINGLE_CONFIG,
                               SimSystem)
 from repro.workloads.benchmarks import trace_for
@@ -46,14 +49,18 @@ def _shaped_system(kernel: str, phase_stride: int = 0) -> SimSystem:
 
 class TestKernelSelection:
     def test_default_config_uses_engine(self):
-        # The kernel selects the component set only; the event engine is
-        # the one heap Engine, and contracts swap in checked components.
-        for enabled, llc_type in ((False, BatchedLLC), (True, SharedLLC)):
+        # One component set: the engine, LLC and memory controller are the
+        # same classes whatever the kernel or contract mode; only the core
+        # class varies, and contracts swap in the checked core.
+        for enabled, core_type in ((False, BatchedCoreModel),
+                                   (True, CoreModel)):
             with contracts.enabled_scope(enabled):
                 system = SimSystem(workload_traces(1, seed=3),
                                    config=SCALED_MULTI_CONFIG)
             assert type(system.engine) is Engine
-            assert type(system.llc) is llc_type
+            assert type(system.llc) is SharedLLC
+            assert type(system.mc) is MemoryController
+            assert {type(core) for core in system.cores} == {core_type}
 
     def test_heap_config_uses_heap_engine(self):
         config = replace(SCALED_MULTI_CONFIG, kernel="heap")
@@ -105,6 +112,31 @@ class TestSnapshotEquality:
             lambda k: _shaped_system(k, phase_stride=17))
         assert snapshots["heap"] == snapshots["batched"]
 
+    @pytest.mark.parametrize("overrides, llc_fast, core_fast", [
+        ({"llc_banks": 6, "llc_size": 3 * 64 * 1024}, False, True),
+        ({"l1_size": 6 * 1024, "l1_ways": 4}, True, False),
+        ({"line_bytes": 48, "l1_size": 6 * 1024,
+          "llc_size": 3 * 64 * 1024}, False, False),
+    ], ids=["llc-6-banks-384-sets", "l1-24-sets", "48-byte-lines"])
+    def test_non_power_of_two_geometry(self, overrides, llc_fast,
+                                       core_fast):
+        # A geometry without shift/mask indexing takes the div/mod
+        # fallbacks: Cache.access in the LLC, CoreModel._run in the core.
+        def build(kernel):
+            config = replace(SCALED_MULTI_CONFIG, kernel=kernel,
+                             **overrides)
+            system = SimSystem(workload_traces(1, seed=5), config=config)
+            assert system.llc._fast is llc_fast
+            for core in system.cores:
+                if type(core) is BatchedCoreModel:
+                    assert core._fast is core_fast
+            return system
+
+        snapshots = self._run_pair(build)
+        assert snapshots["heap"] == snapshots["batched"]
+        assert snapshots["heap"]["row_hits"] + \
+            snapshots["heap"]["row_misses"] > 0
+
     def test_events_executed_matches(self):
         counts = {}
         for kernel in ("heap", "batched"):
@@ -115,8 +147,8 @@ class TestSnapshotEquality:
         assert counts["heap"] == counts["batched"]
 
 
-#: every scheduler the fused controller dispatches for ("FST" is FR-FCFS
-#: with the source-throttling controller attached)
+#: every scheduler the controller dispatches for ("FST" is FR-FCFS with
+#: the source-throttling controller attached)
 SCHEDULERS = {
     "FCFS": FcfsScheduler, "FR-FCFS": FrFcfsScheduler,
     "FairQueue": FairQueueScheduler, "TCM": TcmScheduler,
@@ -151,8 +183,9 @@ def _scheduled_system(kernel: str, name: str) -> SimSystem:
 @pytest.mark.parametrize("name", sorted(SCHEDULERS) + ["fallback",
                                                        "hybrid"])
 def test_every_scheduler_matches_heap_kernel(name):
-    # The fused controller runs the scheduler's own select for every
-    # policy and inlines only the DRAM service on the request stamp.
+    # Both kernels share the controller; the fused core's inlined LLC
+    # lookup feeds it the same requests at the same cycles under every
+    # policy.
     results = {}
     for kernel in ("heap", "batched"):
         system = _scheduled_system(kernel, name)

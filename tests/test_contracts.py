@@ -14,7 +14,6 @@ import pytest
 from repro.analysis import ContractViolation, contracts
 from repro.core.bins import BinConfig
 from repro.core.credits import CreditState
-from repro.dram.bank import Bank
 from repro.dram.device import DramDevice
 from repro.dram.timing import DDR3_1333
 from repro.sim.engine import Engine, _NO_ARG
@@ -201,27 +200,38 @@ class TestMemoryControllerContracts:
             mc.enqueue(MemoryRequest(core_id=0, address=0))
 
 
+def _request_for_row(device, row):
+    """A stamped request for ``row`` of flat bank 0."""
+    timing = device.timing
+    address = row * timing.banks_per_rank * timing.row_buffer_bytes
+    return MemoryRequest(core_id=0, address=address,
+                         dram_coord=device.mapper.coord(address))
+
+
 class TestBankContracts:
+    """The bank state machine's checks, in ``DramDevice.service``."""
+
     def test_legal_access_sequence(self, contracts_on):
-        bank = Bank(DDR3_1333)
-        done = bank.access(row=3, now=0)
-        assert bank.open_row == 3
-        later = bank.access(row=3, now=done)
+        device = DramDevice(DDR3_1333)
+        done = device.service(_request_for_row(device, 3), 0)
+        assert device.banks[0].open_row == 3
+        later = device.service(_request_for_row(device, 3), done)
         assert later > done
 
     def test_float_cycle_is_caught(self, contracts_on):
-        bank = Bank(DDR3_1333)
+        device = DramDevice(DDR3_1333)
         with pytest.raises(ContractViolation, match="integers"):
-            bank.access(row=1, now=2.5)
+            device.service(_request_for_row(device, 1), 2.5)
 
     def test_negative_cycle_is_caught(self, contracts_on):
-        bank = Bank(DDR3_1333)
+        device = DramDevice(DDR3_1333)
         with pytest.raises(ContractViolation, match="negative"):
-            bank.access(row=1, now=-4)
+            device.service(_request_for_row(device, 1), -4)
 
     def test_refresh_keeps_ready_cycle_monotonic(self, contracts_on):
-        bank = Bank(DDR3_1333)
-        bank.access(row=1, now=0)
+        device = DramDevice(DDR3_1333)
+        bank = device.banks[0]
+        device.service(_request_for_row(device, 1), 0)
         before = bank.ready_cycle
         bank.refresh(now=0)
         assert bank.open_row is None

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.dram.address_map import AddressMapper
-from repro.dram.bank import Bank
 from repro.dram.device import DramDevice
 from repro.dram.timing import DDR3_1333, DramTiming
 from repro.sim.request import MemoryRequest
@@ -73,57 +72,72 @@ class TestAddressMapper:
         assert b.row == a.row + 1
 
 
+def at_row(device, row, write=False):
+    """A stamped request for ``row`` of flat bank 0."""
+    timing = device.timing
+    address = row * timing.banks_per_rank * timing.row_buffer_bytes
+    request = MemoryRequest(core_id=0, address=address, is_write=write,
+                            dram_coord=device.mapper.coord(address))
+    assert request.dram_coord[:2] == (0, row)
+    return request
+
+
 class TestBank:
+    """The row-buffer state machine of ``DramDevice.service``, one bank."""
+
     def test_closed_bank_latency(self):
-        bank = Bank(DDR3_1333)
-        done = bank.access(row=5, now=0)
+        device = DramDevice(DDR3_1333)
+        done = device.service(at_row(device, 5), 0)
         assert done == DDR3_1333.row_closed_latency
 
     def test_row_hit_latency(self):
-        bank = Bank(DDR3_1333)
-        bank.access(row=5, now=0)
+        device = DramDevice(DDR3_1333)
+        bank = device.banks[0]
+        device.service(at_row(device, 5), 0)
         start = bank.ready_cycle
-        done = bank.access(row=5, now=start)
+        done = device.service(at_row(device, 5), start)
         assert done - start == DDR3_1333.row_hit_latency
         assert bank.row_hits == 1
 
     def test_row_conflict_includes_precharge(self):
-        bank = Bank(DDR3_1333)
-        bank.access(row=5, now=0)
+        device = DramDevice(DDR3_1333)
+        device.service(at_row(device, 5), 0)
         # Move far past tRC so only the conflict latency matters.
         now = 10_000
-        done = bank.access(row=6, now=now)
+        done = device.service(at_row(device, 6), now)
         assert done - now == DDR3_1333.row_conflict_latency
 
     def test_trc_gates_back_to_back_activates(self):
-        bank = Bank(DDR3_1333)
-        bank.access(row=1, now=0)
-        done = bank.access(row=2, now=1)
+        device = DramDevice(DDR3_1333)
+        device.service(at_row(device, 1), 0)
+        done = device.service(at_row(device, 2), 1)
         # Second activate cannot start before tRC after the first.
         assert done >= DDR3_1333.t_rc
 
     def test_row_hits_pipeline_at_burst_rate(self):
-        bank = Bank(DDR3_1333)
-        bank.access(row=1, now=0)
+        device = DramDevice(DDR3_1333)
+        bank = device.banks[0]
+        device.service(at_row(device, 1), 0)
         first_ready = bank.ready_cycle
-        bank.access(row=1, now=first_ready)
+        device.service(at_row(device, 1), first_ready)
         # Ready advanced by ~tBL, not by the full CAS latency.
         assert bank.ready_cycle - first_ready <= DDR3_1333.t_bl + 1
 
     def test_refresh_closes_row(self):
-        bank = Bank(DDR3_1333)
-        bank.access(row=1, now=0)
+        device = DramDevice(DDR3_1333)
+        bank = device.banks[0]
+        device.service(at_row(device, 1), 0)
         bank.refresh(now=1000)
         assert bank.open_row is None
         assert bank.ready_cycle >= 1000 + DDR3_1333.t_rfc
 
     def test_write_recovery_extends_ready(self):
-        read_bank = Bank(DDR3_1333)
-        write_bank = Bank(DDR3_1333)
-        read_bank.access(row=1, now=0, is_write=False)
-        write_bank.access(row=1, now=0, is_write=True)
-        assert write_bank.ready_cycle == \
-            read_bank.ready_cycle + DDR3_1333.t_wr
+        read_device = DramDevice(DDR3_1333)
+        write_device = DramDevice(DDR3_1333)
+        read_device.service(at_row(read_device, 1, write=False), 0)
+        write_device.service(at_row(write_device, 1, write=True), 0)
+        assert write_device.banks[0].ready_cycle == \
+            read_device.banks[0].ready_cycle + DDR3_1333.t_wr
 
 
 class TestDevice:

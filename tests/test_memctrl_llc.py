@@ -1,7 +1,10 @@
 """Unit tests for the shared LLC and the memory controller."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.analysis import contracts
 from repro.dram.device import DramDevice
 from repro.dram.timing import DramTiming
 from repro.sim.cache import Cache, CacheGeometry
@@ -10,6 +13,8 @@ from repro.sim.llc import SharedLLC
 from repro.sim.memctrl import MemoryController
 from repro.sim.request import MemoryRequest
 from repro.sim.stats import CoreStats, SystemStats
+from repro.sim.system import SCALED_SINGLE_CONFIG, SimSystem
+from repro.workloads.benchmarks import trace_for
 
 
 def make_request(core=0, address=0, write=False):
@@ -32,39 +37,44 @@ class TestSharedLLC:
         forwarded, responses = [], []
         llc = SharedLLC(engine, Cache(CacheGeometry(4096, 2)),
                         forward_miss=forwarded.append,
-                        respond=lambda r, hit: responses.append((r, hit)),
+                        respond_hit=lambda r: responses.append((r, True)),
+                        respond_miss=lambda r: responses.append((r, False)),
                         hit_latency=hit_latency, banks=banks,
                         stats=stats)
         return engine, llc, forwarded, responses, stats
 
-    def test_miss_forwarded_to_mc(self):
+    def test_miss_determined_not_forwarded(self):
+        # The owner's miss handler forwards demand misses (see
+        # TestMissForwarding); the LLC forwards only victim writebacks.
         engine, llc, forwarded, responses, _ = self.make_llc()
-        llc.lookup(make_request(address=0))
+        request = make_request(address=0)
+        llc.lookup(request)
         engine.run()
-        assert len(forwarded) == 1
-        assert responses == [(forwarded[0], False)]
+        assert responses == [(request, False)]
+        assert forwarded == []
 
     def test_hit_responds_without_forwarding(self):
         engine, llc, forwarded, responses, _ = self.make_llc()
         llc.lookup(make_request(address=0))
         engine.run()
-        llc.lookup(make_request(address=0))
+        second = make_request(address=0)
+        llc.lookup(second)
         engine.run()
-        assert len(forwarded) == 1  # only the first miss
-        assert responses[-1][1] is True
+        assert responses[-1] == (second, True)
+        assert forwarded == []
 
     def test_hit_latency_observed(self):
-        engine, llc, _, responses, _ = self.make_llc(hit_latency=25)
+        engine, llc, _, _, _ = self.make_llc(hit_latency=25)
         stamps = []
-        llc.respond = lambda r, hit: stamps.append((engine.now, hit))
+        llc.respond_hit = lambda r: stamps.append((engine.now, True))
+        llc.respond_miss = lambda r: stamps.append((engine.now, False))
         llc.lookup(make_request(address=0))
         engine.run()
         llc.lookup(make_request(address=0))
         engine.run()
-        # Both determinations arrive hit_latency after their lookup start.
-        assert stamps[0][0] >= 25
-        assert stamps[1] == (stamps[0][0] + 25 + llc.bank_busy, True) \
-            or stamps[1][1] is True
+        # Both determinations arrive hit_latency after their lookup start
+        # (the bank is free again by the second lookup).
+        assert stamps == [(25, False), (50, True)]
 
     def test_bank_serialisation_delays_same_bank(self):
         engine, llc, _, responses, _ = self.make_llc(banks=1, hit_latency=10)
@@ -98,9 +108,82 @@ class TestSharedLLC:
         llc.lookup(make_request(address=stride, write=True))
         llc.lookup(make_request(address=2 * stride, write=True))
         engine.run()
-        writebacks = [r for r in forwarded if r.shaper_bin == -2]
-        assert len(writebacks) == 1
-        assert writebacks[0].address == 0
+        assert len(forwarded) == 1
+        assert forwarded[0].shaper_bin == -2
+        assert forwarded[0].address == 0
+
+    @pytest.mark.parametrize("banks, line_bytes, fast",
+                             [(2, 64, True), (3, 64, False),
+                              (2, 48, False)])
+    def test_lookup_matches_cache_access(self, banks, line_bytes, fast):
+        # The inlined LRU operations (power-of-two geometry) and the
+        # Cache.access fallback leave the same cache state and report the
+        # same hits, misses and victims as a plain Cache.
+        engine = Engine()
+        geometry = CacheGeometry(8 * 2 * line_bytes, 2, line_bytes)
+        results, forwarded = [], []
+        llc = SharedLLC(engine, Cache(geometry),
+                        forward_miss=forwarded.append,
+                        respond_hit=lambda r: results.append(True),
+                        respond_miss=lambda r: results.append(False),
+                        banks=banks)
+        assert llc._fast is fast
+        reference = Cache(geometry)
+        expected, victims = [], []
+        for step in range(400):
+            address = (step * 7919 % 61) * line_bytes + step % line_bytes
+            write = step % 3 == 0
+            hit, victim = reference.access(address, write)
+            expected.append(hit)
+            if victim is not None:
+                victims.append(victim)
+            llc.lookup(make_request(address=address, write=write))
+            engine.run()
+        assert results == expected
+        assert [r.address for r in forwarded] == victims
+        assert victims
+        assert llc.cache._sets == reference._sets
+        assert (llc.cache.hits, llc.cache.misses, llc.cache.writebacks) \
+            == (reference.hits, reference.misses, reference.writebacks)
+        assert (llc.hits, llc.misses) == (reference.hits, reference.misses)
+
+
+class TestMissForwarding:
+    """The system's LLC miss handler forwards every demand miss."""
+
+    @pytest.mark.parametrize("kernel", ["heap", "batched"])
+    def test_every_demand_miss_reaches_the_controller(self, kernel):
+        config = replace(SCALED_SINGLE_CONFIG, kernel=kernel)
+        system = SimSystem([trace_for("mcf", seed=5)], config=config)
+        forwarded = []
+        enqueue = system.llc.forward_miss
+
+        def record(request):
+            forwarded.append(request)
+            enqueue(request)
+
+        system.llc.forward_miss = record
+        system.run(20_000)
+        demand = [r for r in forwarded if r.shaper_bin != -2]
+        undetermined = sum(
+            1 for _, _, callback, arg in system.engine._queue
+            if callback == system.llc.respond_miss and arg.shaper_bin != -2)
+        assert len({id(r) for r in demand}) == len(demand)
+        assert len(demand) == system.stats.cores[0].llc_misses \
+            - undetermined
+        assert len(demand) > 100
+
+    @pytest.mark.parametrize("enabled", [False, True])
+    def test_forward_is_the_checked_enqueue_under_contracts(self, enabled):
+        # Contracts on: misses enter through the invariant-checked
+        # ``enqueue``; off: through its undecorated body.
+        with contracts.enabled_scope(enabled):
+            system = SimSystem([trace_for("mcf", seed=5)],
+                               config=SCALED_SINGLE_CONFIG)
+        checked = MemoryController.enqueue
+        expected = checked if enabled else checked.__wrapped__
+        assert system.llc.forward_miss.__func__ is expected
+        assert system.llc.forward_miss.__self__ is system.mc
 
 
 class TestMemoryController:

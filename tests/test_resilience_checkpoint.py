@@ -25,6 +25,7 @@ from repro.resilience.checkpoint import (CHECKPOINT_VERSION, CheckpointError,
                                          run_with_checkpoints,
                                          save_checkpoint)
 from repro.sched.base import FcfsScheduler, FrFcfsScheduler
+from repro.sim.memctrl import MemoryController
 from repro.sim.system import SCALED_MULTI_CONFIG, SimSystem
 from repro.workloads.mixes import workload_traces
 
@@ -109,6 +110,29 @@ class TestGoldenResume:
             resumed = load_checkpoint(path)
             assert resumed.engine._contracts is False
 
+    @pytest.mark.parametrize("saved", [False, True])
+    def test_load_rebinds_hot_callbacks(self, tmp_path, saved):
+        # The controller's completion callback and the LLC's miss forward
+        # are hot-bound: undecorated with contracts off, checked with them
+        # on.  A restore follows the loading process, not the pickle.
+        path = tmp_path / "hot.ckpt"
+        with contracts.enabled_scope(saved):
+            system = _small_system()
+            system.run(1_000)
+            save_checkpoint(system, path)
+        enqueue, complete = MemoryController.enqueue, \
+            MemoryController._complete
+        for enabled in (False, True):
+            with contracts.enabled_scope(enabled):
+                resumed = load_checkpoint(path)
+            forward = resumed.llc.forward_miss
+            callback = resumed.mc._complete_cb
+            assert forward.__self__ is callback.__self__ is resumed.mc
+            assert forward.__func__ is (
+                enqueue if enabled else enqueue.__wrapped__)
+            assert callback.__func__ is (
+                complete if enabled else complete.__wrapped__)
+
 
 class TestCheckpointFormat:
     def test_meta_readable_without_unpickling(self, tmp_path):
@@ -156,7 +180,7 @@ class TestCheckpointFormat:
         with pytest.raises(CheckpointError, match="version"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7, 8])
     def test_previous_format_rejected(self, tmp_path, version):
         # A file from an earlier release carries its old magic line; it
         # must fail as a version mismatch, never reach the unpickler.
