@@ -138,11 +138,6 @@ class CoreStats:
         """Accumulate ``gap`` cycles into the post-shaper histogram."""
         self.interarrival.add(gap // bucket_width)
 
-    def record_mem_interarrival(self, gap: int,
-                                bucket_width: int = 10) -> None:
-        """Accumulate ``gap`` cycles into the memory-request histogram."""
-        self.mem_interarrival.add(gap // bucket_width)
-
     @property
     def average_latency(self) -> float:
         """Mean end-to-end latency of DRAM-serviced requests."""

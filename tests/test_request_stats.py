@@ -39,7 +39,7 @@ class TestCoreStats:
     def test_mem_histogram_independent(self):
         stats = CoreStats(core_id=0)
         stats.record_interarrival(5)
-        stats.record_mem_interarrival(25)
+        stats.mem_interarrival.add(25 // 10)
         assert stats.interarrival == {0: 1}
         assert stats.mem_interarrival == {2: 1}
 
