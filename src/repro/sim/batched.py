@@ -1,39 +1,34 @@
 """The fused core of the batched simulation kernel.
 
-The heap engine's component graph (``CoreModel -> ShaperPort -> SharedLLC
--> MemoryController -> DramDevice``) is semantically clean but pays a deep
-Python call chain per simulated access.  :class:`BatchedCoreModel`
-collapses the top of that chain when -- and only when -- the collapse is
-provably bit-identical.  It replays its trace by indexing the columns of
-the trace's prefix (:class:`~repro.workloads.trace.TracePrefix`) instead
-of building event records, and inlines the L1 lookup (the plain-``dict``
-LRU set operations of :meth:`~repro.sim.cache.Cache.access`), the
-pass-through :class:`~repro.sim.core_model.ShaperPort` drain and, for an
-unshaped demand miss, :meth:`~repro.sim.llc.SharedLLC.lookup` into its
-run loop.  Per-access statistics accumulate in locals and flush once per
-activation.
+The component graph (``CoreModel -> ShaperPort -> SharedLLC ->
+MemoryController -> DramDevice``) pays a Python call chain per simulated
+access.  :class:`BatchedCoreModel` shortens only the part that is the
+core's own: it replays its trace by indexing the columns of the trace's
+prefix (:class:`~repro.workloads.trace.TracePrefix`) instead of building
+event records, and inlines the L1 lookup (the plain-``dict`` LRU set
+operations of :meth:`~repro.sim.cache.Cache.access`) into its run loop.
 
-Every inlined body is a transcription of the corresponding checked
-method with the same statement order for every observable effect
-(statistics, request-id allocation, event scheduling); the golden
-fingerprint suite pins the equivalence.  The core keeps a gate flag and
-falls back to :class:`~repro.sim.core_model.CoreModel`'s implementation
-whenever its preconditions (power-of-two geometry) do not hold, so it is
-an accelerator, never a restriction on configuration space.
+Everything below the L1 goes through the components, exactly as in
+:meth:`~repro.sim.core_model.CoreModel._try_access`: a demand miss leaves
+through :meth:`~repro.sim.core_model.ShaperPort.submit`, a dirty L1 victim
+through :meth:`~repro.sim.core_model.ShaperPort.submit_bypass`, and the
+core's own events go through :meth:`~repro.sim.engine.Engine.schedule`.
+The inlined body keeps the checked core's statement order for every
+observable effect (statistics, request-id allocation, event scheduling);
+the golden fingerprint suite pins the equivalence.  The core keeps a gate
+flag and falls back to :class:`~repro.sim.core_model.CoreModel`'s
+implementation whenever its preconditions (power-of-two geometry) do not
+hold, so it is an accelerator, never a restriction on configuration
+space.
 
-The class is only instantiated under ``kernel="batched"`` with contracts
-disabled; with ``REPRO_CONTRACTS=1`` the system assembles the checked
-core.  The LLC, the memory controller and the DRAM device below it are
-the checked components under every kernel and contract mode.
+``kernel="batched"`` assembles this core in both contract modes, so
+``REPRO_CONTRACTS=1`` checks the code default runs use.
 """
 
 from __future__ import annotations
 
-from heapq import heappush as _heappush
-
 from ..workloads.trace import FLAG_WRITE
 from .core_model import CoreModel
-from .engine import _NO_ARG
 from .request import MemoryRequest
 
 
@@ -48,23 +43,12 @@ class BatchedCoreModel(CoreModel):
     events it knows (``_pos == _n``), and wraps only once the prefix is
     the whole trace.  When the line size or the L1 geometry is not
     power-of-two the instance simply runs the parent implementation.
-
-    ``_fused_llc``/``_llc_pack`` stay ``None`` unless the owning
-    :class:`~repro.sim.system.SimSystem` binds the core->LLC inline (it
-    knows whether the port sends straight into an LLC with a fast geometry
-    sharing this core's allocator and statistics).
     """
 
-    __slots__ = ("_works", "_addrs", "_flags", "_n", "_fast", "_next_rid",
-                 "_fused_llc", "_llc_pack")
+    __slots__ = ("_works", "_addrs", "_flags", "_n", "_fast", "_next_rid")
 
     _DERIVED = CoreModel._DERIVED | {"_works", "_addrs", "_flags", "_n",
                                      "_fast", "_next_rid"}
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self._fused_llc = None
-        self._llc_pack = None
 
     def _derive(self) -> None:
         """(Re)derive the prefix up to the saved position and bind its
@@ -107,13 +91,10 @@ class BatchedCoreModel(CoreModel):
 
         Shaped for the dominant activation: one access, one event fetch,
         one self-reschedule.  Attributes are read on demand instead of
-        bulk-bound up front (an activation touches each at most once), and
-        the self-reschedule pushes straight onto the engine's heap --
-        identical ``(when, seq)`` key to ``engine.schedule`` minus the
-        call.  The access body inlines :meth:`Cache.access` (same
-        ``dict`` operations in the same order) and the unshaped
-        :meth:`ShaperPort._drain` (``shaper_stall_cycles`` gains
-        ``now - now == 0`` on that path, so the add is skipped).
+        bulk-bound up front (an activation touches each at most once).
+        The access body inlines :meth:`Cache.access` (same ``dict``
+        operations in the same order); a miss is handed to the port as
+        :meth:`CoreModel._try_access` hands it.
         """
         if self._blocked or self._running:
             return
@@ -146,10 +127,7 @@ class BatchedCoreModel(CoreModel):
                         when = -1
                     if when >= 0:
                         self._pending_work = [0, work, address, is_write]
-                        # inline engine.schedule(when, self._run_cb)
-                        _heappush(engine._queue,
-                                  (when, next(engine._counter),
-                                   self._run_cb, _NO_ARG))
+                        engine.schedule(when, self._run_cb)
                         return
                 else:
                     remaining = pending[0]
@@ -201,81 +179,14 @@ class BatchedCoreModel(CoreModel):
                         # positional MemoryRequest: (core_id, address,
                         # is_write, l1_miss, issue, mc_arrival, dram_start,
                         # complete, shaper_bin, req_id)
-                        request = MemoryRequest(core_id, address, is_write,
-                                                now, 0, 0, 0, 0, -1,
-                                                self._next_rid())
-                        if port._unshaped and not port.queue \
-                                and not port._parked:
-                            request.issue_cycle = now
-                            last = stats.last_issue_cycle
-                            if last >= 0:
-                                hist = stats.interarrival._counts
-                                gap_bin = (now - last) \
-                                    // port.interarrival_bucket
-                                if gap_bin < len(hist):
-                                    hist[gap_bin] += 1
-                                else:
-                                    stats.interarrival.add(gap_bin)
-                            stats.last_issue_cycle = now
-                            llc = self._fused_llc
-                            if llc is None:
-                                port.send(request)
-                            else:
-                                # inline llc.lookup(request): same cache
-                                # ops, counters and schedule in the same
-                                # order (SharedLLC.lookup transcription;
-                                # ``request.shaper_bin`` is -1 here so the
-                                # demand gates are pre-decided).
-                                lshift, lbank_mask, lbusy, lhit_lat = \
-                                    self._llc_pack
-                                lline = address >> lshift
-                                lbank_free = llc._bank_free
-                                lbank = lline & lbank_mask
-                                free_at = lbank_free[lbank]
-                                lstart = now if now > free_at else free_at
-                                lbank_free[lbank] = lstart + lbusy
-                                lcache = llc.cache
-                                lways = lcache._sets[
-                                    lline & lcache._set_mask]
-                                respond_at = lstart + lhit_lat
-                                lvictim = None
-                                ldirty = lways.pop(lline, None)
-                                if ldirty is not None:
-                                    lways[lline] = ldirty or is_write
-                                    lcache.hits += 1
-                                    llc.hits += 1
-                                    stats.llc_hits += 1
-                                    callback = llc.respond_hit
-                                else:
-                                    lcache.misses += 1
-                                    if len(lways) >= lcache._ways:
-                                        lvline = next(iter(lways))
-                                        if lways.pop(lvline):
-                                            lvictim = lvline << lshift
-                                            lcache.writebacks += 1
-                                    lways[lline] = is_write
-                                    llc.misses += 1
-                                    stats.llc_misses += 1
-                                    callback = llc.respond_miss
-                                # inline engine.schedule(respond_at,
-                                #                        callback, request)
-                                _heappush(engine._queue,
-                                          (respond_at,
-                                           next(engine._counter),
-                                           callback, request))
-                                if lvictim is not None:
-                                    lwb = MemoryRequest(
-                                        core_id, lvictim, True, now, now,
-                                        0, 0, 0, -2, self._next_rid())
-                                    engine.schedule(respond_at,
-                                                    llc.forward_miss, lwb)
-                        else:
-                            port.submit(request)
+                        port.submit(MemoryRequest(core_id, address, is_write,
+                                                  now, 0, 0, 0, 0, -1,
+                                                  self._next_rid()))
                         if victim is not None:
-                            writeback = MemoryRequest(core_id, victim, True,
-                                                      now, now, 0, 0, 0, -2,
-                                                      self._next_rid())
-                            port.send(writeback)
+                            # Writeback: fire-and-forget, past the shaper.
+                            port.submit_bypass(MemoryRequest(
+                                core_id, victim, True, now, 0, 0, 0, 0, -2,
+                                self._next_rid()))
                 stats.accesses += 1
                 stats.retired += 1
                 stats.work_cycles += 1 + work

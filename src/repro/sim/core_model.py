@@ -275,11 +275,6 @@ class CoreModel(TraceReplay):
         stats.work_cycles += 1 + work
         return True
 
-    def _retire(self, work: int) -> None:
-        self.stats.retired += 1
-        # work was spent before the access; credit it plus the access cycle
-        self.stats.work_cycles += 1 + work
-
     # ------------------------------------------------------------------
 
     def on_response(self, request: MemoryRequest) -> None:

@@ -106,12 +106,9 @@ class Engine:
     arguments at :meth:`schedule` time.  The flag is captured at
     construction so the disabled case costs one attribute read per event.
 
-    The fused core of :mod:`repro.sim.batched` inlines :meth:`schedule`
-    as ``heappush(engine._queue, (when, next(engine._counter), callback,
-    arg))``, so the event tuple layout and the one shared counter are
-    part of this class's contract.
-    Pickling stores that counter as a plain int and restores a fresh
-    ``itertools.count`` from it; saving never touches the live counter.
+    Pickling stores the sequence counter as a plain int and restores a
+    fresh ``itertools.count`` from it; saving never touches the live
+    counter.
     """
 
     __slots__ = ("now", "_queue", "_counter", "_stopped", "_contracts",

@@ -69,15 +69,15 @@ class SystemConfig:
     #: MSHRs per core for the "window" core model (Table II)
     mshrs: int = 8
     #: core class on the one heap :class:`~repro.sim.engine.Engine`:
-    #: "batched" assembles, with contracts off, the fused
+    #: "batched" assembles the fused
     #: :class:`~repro.sim.batched.BatchedCoreModel` (replay over the trace
-    #: prefix columns, inlined L1 and, for unshaped demand misses, the
-    #: inlined LLC lookup); "heap" assembles the checked
-    #: :class:`~repro.sim.core_model.CoreModel` (the oracle).  With
-    #: contracts on both assemble the checked core.  The LLC, memory
-    #: controller and DRAM are the same components under either kernel.
-    #: Both produce bit-identical results (pinned by the golden-fingerprint
-    #: suite).
+    #: prefix columns and an inlined L1; misses leave through the shaper
+    #: port); "heap" assembles the checked
+    #: :class:`~repro.sim.core_model.CoreModel` (the oracle).  The choice
+    #: does not depend on the contract mode, and the shaper ports, LLC,
+    #: memory controller and DRAM are the same components under either
+    #: kernel.  Both produce bit-identical results (pinned by the
+    #: golden-fingerprint suite).
     kernel: str = "batched"
 
 
@@ -192,12 +192,12 @@ class SimSystem:
             raise ValueError(f"unknown kernel {kernel!r}; "
                              f"known: ('heap', 'batched')")
         self.engine = Engine()
-        # The batched core is a bit-identical transcription of CoreModel
-        # that schedules past the engine's checked ``schedule``, so it
-        # assembles only when contracts are off; REPRO_CONTRACTS=1 runs
-        # the checked core under either kernel.  The LLC, the memory
-        # controller and the DRAM device are the same under both.
-        batched = kernel == "batched" and not contracts.is_enabled()
+        # The kernel picks only the core class: the batched core replays
+        # the trace's prefix columns with an inlined L1 and hands every
+        # miss to its port, so both contract modes assemble it.  The
+        # engine, LLC, memory controller and DRAM device are the same
+        # under both kernels.
+        batched = kernel == "batched"
         #: per-system request-id source: ids always start at 0 for a new
         #: system, so back-to-back systems in one process are bit-identical
         self.request_ids = RequestIdAllocator()
@@ -272,19 +272,6 @@ class SimSystem:
                     f"unknown core model {self.config.core_model!r}")
             self.ports.append(port)
             self.cores.append(core)
-        if batched and self.noc is None and self.llc._fast:
-            # Ports send straight into the LLC, which shares the
-            # cores' request-id allocator and statistics objects, so each
-            # row-driven core may inline the lookup (the demand-miss
-            # path's hottest callee).  Decided here, once, where the whole
-            # graph is known; the binding pickles as plain slots.
-            llc = self.llc
-            pack = (llc._line_shift, llc._bank_mask, llc.bank_busy,
-                    llc.hit_latency)
-            for core in self.cores:
-                if type(core) is BatchedCoreModel and core._fast:
-                    core._fused_llc = llc
-                    core._llc_pack = pack
         #: optional forward-progress monitor (see repro.resilience.watchdog)
         self.watchdog = None
         self._started = False

@@ -51,16 +51,20 @@ class TestKernelSelection:
     def test_default_config_uses_engine(self):
         # One component set: the engine, LLC and memory controller are the
         # same classes whatever the kernel or contract mode; only the core
-        # class varies, and contracts swap in the checked core.
-        for enabled, core_type in ((False, BatchedCoreModel),
-                                   (True, CoreModel)):
-            with contracts.enabled_scope(enabled):
-                system = SimSystem(workload_traces(1, seed=3),
-                                   config=SCALED_MULTI_CONFIG)
-            assert type(system.engine) is Engine
-            assert type(system.llc) is SharedLLC
-            assert type(system.mc) is MemoryController
-            assert {type(core) for core in system.cores} == {core_type}
+        # class varies, and only with the kernel, so contracts check the
+        # core that default runs use.
+        heap = replace(SCALED_MULTI_CONFIG, kernel="heap")
+        for enabled in (False, True):
+            for config, core_type in ((SCALED_MULTI_CONFIG,
+                                       BatchedCoreModel),
+                                      (heap, CoreModel)):
+                with contracts.enabled_scope(enabled):
+                    system = SimSystem(workload_traces(1, seed=3),
+                                       config=config)
+                assert type(system.engine) is Engine
+                assert type(system.llc) is SharedLLC
+                assert type(system.mc) is MemoryController
+                assert {type(core) for core in system.cores} == {core_type}
 
     def test_heap_config_uses_heap_engine(self):
         config = replace(SCALED_MULTI_CONFIG, kernel="heap")
@@ -183,9 +187,8 @@ def _scheduled_system(kernel: str, name: str) -> SimSystem:
 @pytest.mark.parametrize("name", sorted(SCHEDULERS) + ["fallback",
                                                        "hybrid"])
 def test_every_scheduler_matches_heap_kernel(name):
-    # Both kernels share the controller; the fused core's inlined LLC
-    # lookup feeds it the same requests at the same cycles under every
-    # policy.
+    # Both kernels share the ports, LLC and controller; the fused core
+    # hands them the same requests at the same cycles under every policy.
     results = {}
     for kernel in ("heap", "batched"):
         system = _scheduled_system(kernel, name)
@@ -207,19 +210,12 @@ class TestBatchedCheckpoint:
         path = tmp_path / "batched.ckpt"
         system.save_checkpoint(path)
         resumed = SimSystem.load_checkpoint(path)
-        if not contracts.is_enabled():
-            # The core->LLC inline is decided once in SimSystem.__init__
-            # and pickles as plain slots: a restored core must point at
-            # the restored LLC.
-            assert all(core._fused_llc is system.llc
-                       for core in system.cores)
-            assert all(core._fused_llc is resumed.llc
-                       for core in resumed.cores)
-            # The prefix columns and the DRAM stamp memo are left out of
-            # the checkpoint and re-derived on load; losing them would
-            # still be bit-identical, just silently on the slow paths.
-            assert all(core._fast for core in resumed.cores)
-            assert resumed.dram.mapper._memo is system.dram.mapper._memo
+        # The prefix columns and the DRAM stamp memo are left out of the
+        # checkpoint and re-derived on load; losing them would still be
+        # bit-identical, just silently on the slow paths.
+        assert {type(core) for core in resumed.cores} == {BatchedCoreModel}
+        assert all(core._fast for core in resumed.cores)
+        assert resumed.dram.mapper._memo is system.dram.mapper._memo
         resumed.run(CYCLES - CYCLES // 2)
         assert resumed.stats.snapshot() == reference.stats.snapshot()
         assert resumed.stats.fingerprint() == reference.stats.fingerprint()
