@@ -58,7 +58,7 @@ rules:
 	$(PYTHON) -m repro.analysis --list-rules
 
 ## simulator throughput benchmark; writes BENCH_sim.json and fails on a
-## >30% events/sec regression against the committed baseline
+## >15% events/sec regression against the committed baseline
 bench:
 	$(PYTHON) -m repro.bench --baseline benchmarks/perf/baseline.json
 

@@ -1,8 +1,8 @@
 """Idiom-aware call graph over a :class:`~repro.analysis.flow.symbols.Program`.
 
 Resolution is deliberately *typed* rather than name-matched: ``x.select(...)``
-only links to ``AtlasScheduler.select`` when the analysis can see that ``x``
-holds an ``AtlasScheduler`` -- through a constructor call, an annotated
+only links to ``TcmScheduler.select`` when the analysis can see that ``x``
+holds a ``TcmScheduler`` -- through a constructor call, an annotated
 parameter, or a ``self.x = Cls(...)`` assignment somewhere in the class.
 That keeps the graph precise enough that reachability findings are real.
 

@@ -163,9 +163,9 @@ class ModuleInfo:
     def _collect(self) -> None:
         # Imports are collected from the whole tree, not just module
         # scope: the codebase defers cycle-prone imports into functions
-        # (``from .noc import MeshNoc`` inside ``__init__``) and those
-        # names must still resolve.  Folding them into one module-level
-        # alias map is a harmless over-approximation.
+        # (``from .ooo_core import WindowCoreModel`` inside ``__init__``)
+        # and those names must still resolve.  Folding them into one
+        # module-level alias map is a harmless over-approximation.
         for stmt in ast.walk(self.module.tree):
             if isinstance(stmt, ast.Import):
                 for alias in stmt.names:

@@ -157,7 +157,6 @@ _BREAKDOWN_RULES: Tuple[Tuple[str, Optional[str], str], ...] = (
     ("sim/ooo_core", None, "core"),
     ("sim/cache", None, "core"),
     ("sim/llc", None, "llc"),
-    ("sim/noc", None, "llc"),
     ("sim/memctrl", None, "memctrl+dram"),
     ("dram/", None, "memctrl+dram"),
     ("sched/", None, "memctrl+dram"),

@@ -166,24 +166,6 @@ def _decode_value(envelope: Dict[str, Any]) -> Any:
     raise QueueError(f"unknown payload format {envelope['format']!r}")
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
-
-
-def _read_json(path: Path) -> Optional[Dict[str, Any]]:
-    """Parse a JSON file, treating vanished/partial files as absent.
-
-    Kept for callers that do not care about the missing/damaged
-    distinction; the queue itself classifies via ``_load_classified``.
-    """
-    try:
-        return json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError):
-        return None
-
-
 # ----------------------------------------------------------------------
 # corruption accounting
 

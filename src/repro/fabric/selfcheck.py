@@ -3,9 +3,11 @@
 ``run_selfcheck`` is the executable form of the fabric's determinism
 claim (DESIGN.md section 11).  It submits one small simulation campaign
 twice -- once drained serially in-process (the reference), once drained
-by **two concurrent worker subprocesses**, one of which is seeded to die
-``kill -9``-style while holding a claim -- then merges both queues into
-results databases and asserts the campaign fingerprints are identical.
+by **two worker subprocesses**: the first is seeded to die
+``kill -9``-style while holding its first claim, and the second drains
+the rest and steals that claim once its lease expires -- then merges
+both queues into results databases and asserts the campaign
+fingerprints are identical.
 It also re-renders the campaign's data through ``query``/``plot`` paths
 (CSV + SVG) so the read side is exercised from the database alone.
 
@@ -108,14 +110,17 @@ def run_selfcheck(workdir: Union[str, Path], num_jobs: int = 24,
         serial_db.merge_queue(serial_queue)
         serial_print = serial_db.fingerprint(serial_queue.campaign_id)
 
-    # --- two concurrent pools, one killed mid-campaign ----------------
-    echo("[selfcheck] concurrent drain: 2 workers, killing one "
+    # --- two pools, one killed mid-campaign ---------------------------
+    echo("[selfcheck] fabric drain: 2 workers, killing one "
          "after its first claim")
     fabric_queue = CampaignQueue.submit(workdir / "fabric", manifest)
     victim = _spawn_worker(workdir / "fabric", fabric_queue.campaign_id,
                            die_after_claims=1)
-    survivor = _spawn_worker(workdir / "fabric", fabric_queue.campaign_id)
+    # The victim dies at its first claim.  Start the survivor only then:
+    # started together, the survivor can drain the whole campaign before
+    # the victim claims anything, and nothing is killed or stolen.
     victim_code = victim.wait(timeout=timeout)
+    survivor = _spawn_worker(workdir / "fabric", fabric_queue.campaign_id)
     survivor_code = survivor.wait(timeout=timeout)
 
     stolen = 0

@@ -5,10 +5,11 @@ The experiment CLI owns the :class:`~repro.runner.engine.Runner`;
 evaluator) discover it here instead of threading a ``runner=`` argument
 through every ``run(scale=..., seed=...)`` signature in the registry.
 
-No runner installed (the default, and always the case inside pool
-workers) means "run serially" -- callers must treat ``get_runner() is
-None`` as the serial path, which is also what keeps worker processes
-from trying to fan out recursively.
+No runner installed (the default) means "run serially" -- callers must
+treat ``get_runner() is None`` as the serial path.  Pool workers always
+start with none: a forked worker inherits this module's state, so the
+runner's pool initializer clears it, which keeps workers from fanning
+out recursively onto the parent's pool.
 """
 
 from __future__ import annotations

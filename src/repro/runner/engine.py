@@ -86,6 +86,19 @@ def is_deterministic_failure(kind: str,
     return not DETERMINISTIC_LINEAGE.isdisjoint(lineage)
 
 
+def _clear_ambient_runner() -> None:
+    """Pool-worker initializer: start every worker with no ambient runner.
+
+    Under the fork start method a worker inherits the parent's
+    :mod:`repro.runner.context` state, so a job run while the parent
+    sits inside ``using_runner`` would see the parent's runner and call
+    ``map`` on its forked copy of the parent's pool, which has no
+    management thread and never answers.
+    """
+    from .context import set_runner
+    set_runner(None)
+
+
 class RunnerError(RuntimeError):
     """A sweep-level failure the caller chose not to tolerate."""
 
@@ -331,7 +344,8 @@ class Runner:
     def _ensure_executor(self) -> futures.ProcessPoolExecutor:
         if self._executor is None:
             self._executor = futures.ProcessPoolExecutor(
-                max_workers=self.config.jobs)
+                max_workers=self.config.jobs,
+                initializer=_clear_ambient_runner)
         return self._executor
 
     def _rebuild_executor(self) -> None:

@@ -1,23 +1,18 @@
 """Comparator memory schedulers and the MITTS+MISE hybrid.
 
-The Section IV-D comparison set (FR-FCFS, FairQueue, TCM, FST, MemGuard,
-MISE) plus the related-work schedulers the paper discusses (STFM, PAR-BS,
-ATLAS).
+The Section IV-D comparison set: FR-FCFS, FairQueue, TCM, FST, MemGuard
+and MISE, plus the FCFS baseline.
 """
 
-from .atlas import AtlasScheduler
 from .base import FcfsScheduler, FrFcfsScheduler, MemoryScheduler
 from .fairqueue import FairQueueScheduler
 from .fst import FstController
 from .hybrid import build_hybrid
 from .memguard import MemGuardScheduler
 from .mise import MiseScheduler
-from .parbs import ParbsScheduler
-from .stfm import StfmScheduler
 from .tcm import TcmScheduler
 
 __all__ = [
-    "AtlasScheduler",
     "FairQueueScheduler",
     "FcfsScheduler",
     "FrFcfsScheduler",
@@ -25,8 +20,6 @@ __all__ = [
     "MemGuardScheduler",
     "MemoryScheduler",
     "MiseScheduler",
-    "ParbsScheduler",
-    "StfmScheduler",
     "TcmScheduler",
     "build_hybrid",
 ]

@@ -2,8 +2,8 @@
 
 Every comparator from Section IV-D implements
 :class:`~repro.sim.memctrl.MemorySchedulerProtocol`; this module adds the
-bookkeeping they share -- per-core service counters and helper selection
-primitives (oldest request, row-hit preference).
+helpers they share -- the core count and the selection primitives (oldest
+request, row-hit preference).
 """
 
 from __future__ import annotations
@@ -20,22 +20,16 @@ _ARRIVAL_ORDER = operator.attrgetter("mc_arrival_cycle", "req_id")
 
 
 class MemoryScheduler(MemorySchedulerProtocol):
-    """Base scheduler with per-core serviced-request accounting."""
+    """Base scheduler over a fixed number of cores."""
 
     name = "base"
 
-    __slots__ = ("num_cores", "serviced")
+    __slots__ = ("num_cores",)
 
     def __init__(self, num_cores: int) -> None:
         if num_cores < 1:
             raise ValueError("num_cores must be >= 1")
         self.num_cores = num_cores
-        #: demand requests serviced per core over the whole run
-        self.serviced: List[int] = [0] * num_cores
-
-    def on_complete(self, request: MemoryRequest, now: int) -> None:
-        if 0 <= request.core_id < self.num_cores:
-            self.serviced[request.core_id] += 1
 
     # ------------------------------------------------------------------
     # selection helpers

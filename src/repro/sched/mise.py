@@ -106,7 +106,6 @@ class MiseScheduler(MemoryScheduler):
     # ------------------------------------------------------------------
 
     def on_complete(self, request, now) -> None:
-        super().on_complete(request, now)
         if 0 <= request.core_id < self.num_cores:
             self._epoch_counts[request.core_id] += 1
 

@@ -52,7 +52,6 @@ class TcmScheduler(MemoryScheduler):
         self._bandwidth_cluster: List[int] = []
 
     def on_complete(self, request, now) -> None:
-        super().on_complete(request, now)
         if 0 <= request.core_id < self.num_cores:
             self._serviced_this_quantum[request.core_id] += 1
 

@@ -5,7 +5,6 @@ from .core_model import CoreModel, ShaperPort
 from .engine import Engine
 from .llc import SharedLLC
 from .memctrl import MemoryController, MemorySchedulerProtocol
-from .noc import MeshNoc
 from .ooo_core import WindowCoreModel
 from .request import MemoryRequest
 from .stats import CoreStats, SystemStats
@@ -25,7 +24,6 @@ __all__ = [
     "MemoryController",
     "MemoryRequest",
     "MemorySchedulerProtocol",
-    "MeshNoc",
     "SCALED_LARGE_LLC_CONFIG",
     "SCALED_MULTI_CONFIG",
     "SCALED_SINGLE_CONFIG",

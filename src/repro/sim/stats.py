@@ -134,10 +134,6 @@ class CoreStats:
     #: cycle of the last LLC-miss (memory) request
     last_mem_request_cycle: int = -1
 
-    def record_interarrival(self, gap: int, bucket_width: int = 10) -> None:
-        """Accumulate ``gap`` cycles into the post-shaper histogram."""
-        self.interarrival.add(gap // bucket_width)
-
     @property
     def average_latency(self) -> float:
         """Mean end-to-end latency of DRAM-serviced requests."""

@@ -17,7 +17,7 @@ Typical use::
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence
 
 from ..analysis import contracts
 from ..core.limiter import NoLimiter, SourceLimiter
@@ -56,12 +56,6 @@ class SystemConfig:
     #: core model: "simple" (MSHR-capped MLP) or "window" (Table II's
     #: 4-wide, 128-entry instruction window ROB model)
     core_model: str = "simple"
-    #: model the on-chip mesh between cores and LLC banks
-    noc_enabled: bool = False
-    #: per-hop latency of the mesh, in cycles
-    noc_hop_latency: int = 2
-    #: cycles a flit occupies each directed link behind itself
-    noc_link_occupancy: int = 1
     #: instruction-window size for the "window" core model (Table II)
     window_size: int = 128
     #: dispatch/retire width for the "window" core model (Table II)
@@ -101,33 +95,6 @@ SCALED_MULTI_CONFIG = SystemConfig(l1_size=8 * 1024, llc_size=256 * 1024)
 #: scaled stand-in for the 8MB "current day multicore" LLC (Figure 15)
 SCALED_LARGE_LLC_CONFIG = SystemConfig(l1_size=8 * 1024,
                                        llc_size=1024 * 1024)
-
-
-class _NocSender:
-    """Picklable request path through the mesh: core tile -> LLC bank tile.
-
-    A closure over ``(system, core_id)`` would work identically at run
-    time but cannot be pickled, and the whole point of
-    :meth:`SimSystem.save_checkpoint` is that every callable reachable
-    from the event heap or a component's ``send`` slot serialises.
-    """
-
-    __slots__ = ("system", "core_id")
-
-    def __init__(self, system: "SimSystem", core_id: int) -> None:
-        self.system = system
-        self.core_id = core_id
-
-    def __call__(self, request: MemoryRequest) -> None:
-        from .noc import bank_tile
-
-        system = self.system
-        line = request.address // system.config.line_bytes
-        bank = line % system.config.llc_banks
-        dst = bank_tile(system.noc, bank, system.config.llc_banks)
-        arrive = system.noc.traverse(self.core_id % system.noc.tiles, dst,
-                                     system.engine.now)
-        system.engine.schedule(arrive, system.llc.lookup, request)
 
 
 class _PeriodicCallback:
@@ -176,7 +143,7 @@ class SimSystem:
     """A simulated multicore with per-core source limiters."""
 
     __slots__ = ("config", "engine", "request_ids", "scheduler", "stats",
-                 "dram", "mc", "llc", "noc", "ports", "cores", "watchdog",
+                 "dram", "mc", "llc", "ports", "cores", "watchdog",
                  "_started")
 
     def __init__(self, traces: Sequence,
@@ -230,21 +197,11 @@ class SimSystem:
                              req_ids=self.request_ids)
         self._bind_hot_paths()
 
-        self.noc = None
-        if self.config.noc_enabled:
-            from .noc import MeshNoc
-            self.noc = MeshNoc(self.engine, tiles=max(num_cores,
-                                                      self.config.llc_banks),
-                               hop_latency=self.config.noc_hop_latency,
-                               link_occupancy=self.config.noc_link_occupancy)
-
         self.ports: List[ShaperPort] = []
         self.cores: List[CoreModel] = []
         for core_id, trace in enumerate(traces):
-            send = self.llc.lookup if self.noc is None \
-                else self._noc_send(core_id)
             port = ShaperPort(
-                self.engine, limiters[core_id], send=send,
+                self.engine, limiters[core_id], send=self.llc.lookup,
                 stats=self.stats.cores[core_id],
                 interarrival_bucket=self.config.interarrival_bucket)
             l1 = Cache(CacheGeometry(self.config.l1_size,
@@ -301,10 +258,6 @@ class SimSystem:
     # ------------------------------------------------------------------
     # response plumbing
 
-    def _noc_send(self, core_id: int) -> _NocSender:
-        """Request path through the mesh: core tile -> LLC bank tile."""
-        return _NocSender(self, core_id)
-
     def _on_llc_hit(self, request: MemoryRequest) -> None:
         """LLC hit determination: feed the shaper, answer the core."""
         if request.shaper_bin == -2:  # writeback, fire-and-forget
@@ -313,17 +266,7 @@ class SimSystem:
         port = self.ports[core_id]
         if not port._unshaped:
             port.limiter.on_llc_response(request.req_id, True)
-        core = self.cores[core_id]
-        if self.noc is None:
-            core.on_response(request)
-        else:
-            from .noc import bank_tile
-            line = request.address // self.config.line_bytes
-            bank = line % self.config.llc_banks
-            src = bank_tile(self.noc, bank, self.config.llc_banks)
-            arrive = self.noc.traverse(
-                src, core_id % self.noc.tiles, self.engine.now)
-            self.engine.schedule(arrive, core.on_response, request)
+        self.cores[core_id].on_response(request)
 
     def _on_llc_miss(self, request: MemoryRequest) -> None:
         """LLC miss determination: feed the shaper, record the memory
@@ -418,11 +361,6 @@ class SimSystem:
 
     # ------------------------------------------------------------------
     # observation probes (read-only; used by repro.validate's BoundChecker)
-
-    def mc_occupancy(self) -> Tuple[int, int, int]:
-        """``(visible, overflow, inflight)`` MC occupancy right now."""
-        mc = self.mc
-        return len(mc.queue), len(mc.overflow), mc._inflight
 
     def mc_demand_depths(self) -> List[int]:
         """Per-core count of *demand* requests queued at the MC.

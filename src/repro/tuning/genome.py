@@ -10,7 +10,7 @@ genetic algorithms exploit.
 from __future__ import annotations
 
 import random
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Sequence
 
 from ..core.bins import BinConfig, BinSpec
 from ..core.config_space import validate_credit_vector
@@ -148,11 +148,3 @@ def genome_key(genome: Genome) -> tuple:
     return tuple((config.spec.num_bins, config.spec.interval_length,
                   config.spec.max_credits, config.credits)
                  for config in genome)
-
-
-def apply_repair(genome: Genome,
-                 repair: Optional[Callable[[BinConfig], BinConfig]]) -> Genome:
-    """Run an optional per-core repair operator (constraint projection)."""
-    if repair is None:
-        return genome
-    return [repair(config) for config in genome]

@@ -97,3 +97,9 @@ def record_attempt(log_path, value):
     with open(log_path, "a", encoding="utf-8") as handle:
         handle.write(f"{value}\n")
     return value
+
+
+def sees_no_ambient_runner():
+    """True when the worker runs with no ambient runner installed."""
+    from repro.runner.context import get_runner
+    return get_runner() is None

@@ -19,9 +19,9 @@ import pytest
 from repro.analysis import contracts
 from repro.core.bins import BinConfig
 from repro.core.shaper import MittsShaper
-from repro.sched import (AtlasScheduler, FairQueueScheduler, FcfsScheduler,
-                         FrFcfsScheduler, FstController, MemGuardScheduler,
-                         MiseScheduler, ParbsScheduler, StfmScheduler,
+from repro.experiments.common import conventional_schedulers
+from repro.sched import (FairQueueScheduler, FcfsScheduler, FrFcfsScheduler,
+                         FstController, MemGuardScheduler, MiseScheduler,
                          TcmScheduler, build_hybrid)
 from repro.sim.batched import BatchedCoreModel
 from repro.sim.core_model import CoreModel
@@ -157,9 +157,15 @@ SCHEDULERS = {
     "FCFS": FcfsScheduler, "FR-FCFS": FrFcfsScheduler,
     "FairQueue": FairQueueScheduler, "TCM": TcmScheduler,
     "MemGuard": MemGuardScheduler, "MISE": MiseScheduler,
-    "STFM": StfmScheduler, "PAR-BS": ParbsScheduler,
-    "ATLAS": AtlasScheduler, "FST": FrFcfsScheduler,
+    "FST": FrFcfsScheduler,
 }
+
+
+def test_scheduler_table_covers_every_comparator():
+    # A comparator added to the experiments must also run the heap-vs-
+    # batched check below, under the class the experiments build.
+    for name, factory in conventional_schedulers().items():
+        assert SCHEDULERS.get(name) is factory, name
 
 
 def _scheduled_system(kernel: str, name: str) -> SimSystem:

@@ -9,7 +9,8 @@ tie-break, histogram contents, queue depths -- trips these tests.
 
 The scenarios cover the three main simulation shapes: the simple core
 model on the FCFS fallback, the instruction-window model under MITTS
-shaping with FR-FCFS, and the mesh-NoC path.  Every scenario runs under
+shaping with FR-FCFS, and mix 3 on an explicit FCFS scheduler.  Every
+scenario runs under
 *both* kernels -- the checked heap components and the batched fused
 components, on the same heap engine -- and the suite runs both with and
 without ``REPRO_CONTRACTS=1`` in CI; the fingerprints must be identical
@@ -39,8 +40,9 @@ GOLDEN_MIX_SIMPLE = \
     "369d311002b2a07f286310fff31020990b7eb97403239c4d83bed04fa93a6672"
 GOLDEN_MIX_WINDOW_SHAPED = \
     "7223a59c3d2b69faf28e69934064828a9d55d71052c53efc3ec72bddbe8a12b9"
-GOLDEN_MIX_NOC = \
-    "335a4849882ea7e49c5d0bb2984689f0bc2c8e9846c45cf3062eb0dd6718d234"
+#: recorded at commit 1199f9e under both kernels, Python 3.11
+GOLDEN_MIX_FCFS = \
+    "46d2cff0013accd5acf68f40c33544ec69cf7752b03ff8737c74557af4a79f6a"
 
 
 def run_mix_simple(kernel: str = "batched") -> SimSystem:
@@ -66,10 +68,10 @@ def run_mix_window_shaped(kernel: str = "batched") -> SimSystem:
     return system
 
 
-def run_mix_noc(kernel: str = "batched") -> SimSystem:
-    """Workload mix 3 across the mesh NoC, FCFS."""
+def run_mix_fcfs(kernel: str = "batched") -> SimSystem:
+    """Workload mix 3, simple cores, an explicit FCFS scheduler."""
     traces = workload_traces(3, seed=33)
-    config = replace(SCALED_MULTI_CONFIG, noc_enabled=True, kernel=kernel)
+    config = replace(SCALED_MULTI_CONFIG, kernel=kernel)
     system = SimSystem(traces, config=config,
                        scheduler=FcfsScheduler(len(traces)))
     system.run(GOLDEN_CYCLES)
@@ -87,8 +89,8 @@ class TestGoldenFingerprints:
         assert run_mix_window_shaped(kernel).stats.fingerprint() \
             == GOLDEN_MIX_WINDOW_SHAPED
 
-    def test_mix_noc(self, kernel):
-        assert run_mix_noc(kernel).stats.fingerprint() == GOLDEN_MIX_NOC
+    def test_mix_fcfs(self, kernel):
+        assert run_mix_fcfs(kernel).stats.fingerprint() == GOLDEN_MIX_FCFS
 
 
 class TestBackToBackDeterminism:

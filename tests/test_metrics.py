@@ -112,7 +112,7 @@ class TestInterarrivalDistribution:
 
     def test_from_core_stats_streams(self):
         stats = CoreStats(core_id=0)
-        stats.record_interarrival(12)
+        stats.interarrival.add(12 // 10)
         stats.mem_interarrival.add(40 // 10)
         shaper = InterarrivalDistribution.from_core_stats(stats,
                                                           stream="shaper")

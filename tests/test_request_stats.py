@@ -31,21 +31,21 @@ class TestMemoryRequest:
 class TestCoreStats:
     def test_histograms_bucketed(self):
         stats = CoreStats(core_id=0)
-        stats.record_interarrival(0)
-        stats.record_interarrival(9)
-        stats.record_interarrival(10)
+        stats.interarrival.add(0 // 10)
+        stats.interarrival.add(9 // 10)
+        stats.interarrival.add(10 // 10)
         assert stats.interarrival == {0: 2, 1: 1}
 
     def test_mem_histogram_independent(self):
         stats = CoreStats(core_id=0)
-        stats.record_interarrival(5)
+        stats.interarrival.add(5 // 10)
         stats.mem_interarrival.add(25 // 10)
         assert stats.interarrival == {0: 1}
         assert stats.mem_interarrival == {2: 1}
 
     def test_custom_bucket_width(self):
         stats = CoreStats(core_id=0)
-        stats.record_interarrival(30, bucket_width=20)
+        stats.interarrival.add(30 // 20)
         assert stats.interarrival == {1: 1}
 
     def test_average_latency(self):

@@ -29,7 +29,7 @@ from repro.sim.memctrl import MemoryController
 from repro.sim.system import SCALED_MULTI_CONFIG, SimSystem
 from repro.workloads.mixes import workload_traces
 
-from tests.test_golden_fingerprints import (GOLDEN_CYCLES, GOLDEN_MIX_NOC,
+from tests.test_golden_fingerprints import (GOLDEN_CYCLES, GOLDEN_MIX_FCFS,
                                             GOLDEN_MIX_SIMPLE,
                                             GOLDEN_MIX_WINDOW_SHAPED)
 
@@ -51,10 +51,9 @@ def build_mix_window_shaped() -> SimSystem:
                      scheduler=FrFcfsScheduler(len(traces)))
 
 
-def build_mix_noc() -> SimSystem:
+def build_mix_fcfs() -> SimSystem:
     traces = workload_traces(3, seed=33)
-    config = replace(SCALED_MULTI_CONFIG, noc_enabled=True)
-    return SimSystem(traces, config=config,
+    return SimSystem(traces, config=SCALED_MULTI_CONFIG,
                      scheduler=FcfsScheduler(len(traces)))
 
 
@@ -62,7 +61,7 @@ GOLDEN_MIXES = [
     pytest.param(build_mix_simple, GOLDEN_MIX_SIMPLE, id="simple"),
     pytest.param(build_mix_window_shaped, GOLDEN_MIX_WINDOW_SHAPED,
                  id="window-shaped"),
-    pytest.param(build_mix_noc, GOLDEN_MIX_NOC, id="noc"),
+    pytest.param(build_mix_fcfs, GOLDEN_MIX_FCFS, id="fcfs"),
 ]
 
 
@@ -180,7 +179,7 @@ class TestCheckpointFormat:
         with pytest.raises(CheckpointError, match="version"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7, 8, 9])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7, 8, 9, 10])
     def test_previous_format_rejected(self, tmp_path, version):
         # A file from an earlier release carries its old magic line; it
         # must fail as a version mismatch, never reach the unpickler.

@@ -6,7 +6,8 @@ import pytest
 
 from repro.runner import (JobSpec, ResultCache, Runner, RunnerConfig,
                           RunnerError, SpecError, callable_path,
-                          code_fingerprint, content_hash, resolve_callable)
+                          code_fingerprint, content_hash, resolve_callable,
+                          using_runner)
 
 from tests import _runner_jobs
 
@@ -189,6 +190,16 @@ class TestRunnerExecution:
                  JobSpec.create("same", ECHO, 2)]
         with make_runner() as runner, pytest.raises(SpecError):
             runner.run(specs)
+
+    def test_workers_see_no_ambient_runner(self):
+        # A forked worker inherits the parent's module state; if it saw
+        # the parent's runner, a nested ``runner.map`` would block on the
+        # parent's pool copy for ever.
+        spec = JobSpec.create("probe", "tests._runner_jobs:"
+                              "sees_no_ambient_runner")
+        with make_runner(jobs=2) as runner, using_runner(runner):
+            sweep = runner.run([spec])
+        assert sweep["probe"].value is True
 
     def test_inline_runs_in_this_process(self):
         import os

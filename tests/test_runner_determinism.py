@@ -22,7 +22,7 @@ from repro.tuning.ga import GaParams, GeneticAlgorithm
 from repro.tuning.objectives import FitnessEvaluator, resolve_objective
 from repro.workloads.benchmarks import trace_for
 
-EXPERIMENTS = ["hw_cost", "fig02"]
+EXPERIMENTS = ["hw_cost", "fig02", "fig16"]
 
 
 @pytest.fixture(autouse=True)

@@ -45,11 +45,6 @@ class TestFcfs:
     def test_empty_queue(self):
         assert FcfsScheduler(1).select([], 0, FakeController()) is None
 
-    def test_on_complete_counts(self):
-        sched = FcfsScheduler(2)
-        sched.on_complete(request(1, 0), 10)
-        assert sched.serviced == [0, 1]
-
 
 class TestFrFcfs:
     def test_row_hit_preferred_over_older(self):

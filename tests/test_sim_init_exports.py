@@ -37,8 +37,7 @@ PUBLIC_SURFACE = {
     "repro.sched": [
         "FcfsScheduler", "FrFcfsScheduler", "FairQueueScheduler",
         "TcmScheduler", "MiseScheduler", "MemGuardScheduler",
-        "FstController", "StfmScheduler", "ParbsScheduler",
-        "AtlasScheduler", "build_hybrid",
+        "FstController", "build_hybrid",
     ],
     "repro.workloads": [
         "trace_for", "workload_traces", "SyntheticTrace", "ListTrace",
