@@ -10,7 +10,7 @@ configuration, so this package enforces the contract by machine:
 ``repro.analysis.simlint`` (:mod:`~repro.analysis.linter`,
 :mod:`~repro.analysis.rules`)
     An AST-based static analyzer (stdlib only) with a pluggable rule
-    registry and the SIM001-SIM008 rule set.  Run it as::
+    registry and the SIM001-SIM008 and SIM015 rule set.  Run it as::
 
         python -m repro.analysis src
         python -m repro.analysis src --format json
@@ -28,18 +28,20 @@ configuration, so this package enforces the contract by machine:
     and JSON output are shared with simlint.
 
 :mod:`repro.analysis.contracts`
-    Lightweight runtime invariants (``@invariant`` / ``check``) wired into
-    the simulator's hot seams -- engine time monotonicity and heap-FIFO
-    order, non-negative shaper credits, the 32-entry transaction-queue
-    bound, DRAM row-buffer legality.  Disabled by default; enable with the
-    ``REPRO_CONTRACTS=1`` environment variable or
+    Runtime invariants wired into the simulator's hot seams -- engine
+    time monotonicity and heap-FIFO order, shaper credits within
+    ``[0, K_i]``, the 32-entry transaction-queue bound, DRAM row-buffer
+    legality -- each written as ``if contracts.enabled:
+    contracts.check(...)`` on the module's live flag.  Disabled by
+    default; enable with the ``REPRO_CONTRACTS=1`` environment variable,
+    :func:`repro.analysis.contracts.set_enabled` or
     :func:`repro.analysis.contracts.enabled_scope`.
 """
 
 from __future__ import annotations
 
 from .baseline import Baseline
-from .contracts import ContractViolation, check, invariant, is_enabled
+from .contracts import ContractViolation, check
 from .findings import Finding, Severity
 from .linter import Linter, lint_paths
 from .registry import all_rules, get_rule, rule
@@ -53,8 +55,6 @@ __all__ = [
     "all_rules",
     "check",
     "get_rule",
-    "invariant",
-    "is_enabled",
     "lint_paths",
     "rule",
 ]

@@ -17,10 +17,10 @@ Format version 2 partitions fingerprints by analysis pass::
      "passes": {"simlint": ["src/a.py::SIM004::ab12..."],
                 "simflow": ["src/b.py::SIM013::cd34..."]}}
 
-``simlint`` holds the per-file rules (SIM001-SIM008), ``simflow`` the
-whole-program rules (SIM009+).  The partition is derived from the rule id
-embedded in each fingerprint, so the two passes can be re-baselined
-independently without clobbering each other.  Version-1 files (one flat
+``simlint`` holds the per-file rules (SIM001-SIM008 and SIM015),
+``simflow`` the whole-program rules (SIM009-SIM014).  The partition is
+derived from the rule id embedded in each fingerprint, so the two passes
+can be re-baselined independently without clobbering each other.  Version-1 files (one flat
 ``fingerprints`` list) still load -- the shim migrates them in memory and
 the next ``--write-baseline`` persists version 2.
 """
@@ -36,8 +36,8 @@ from .findings import Finding
 
 FORMAT_VERSION = 2
 
-#: highest rule number handled by the per-file pass; above = whole-program
-LAST_PER_FILE_RULE = 8
+#: rule numbers of the whole-program pass; every other rule is per-file
+WHOLE_PROGRAM_RULES = range(9, 15)
 
 _FINGERPRINT_RULE = re.compile(r"::SIM(\d{3})::")
 
@@ -45,14 +45,14 @@ _FINGERPRINT_RULE = re.compile(r"::SIM(\d{3})::")
 def pass_for_rule(rule_id: str) -> str:
     """Which analysis pass owns a rule id ('simlint' or 'simflow')."""
     match = re.match(r"^SIM(\d{3})$", rule_id)
-    if match and int(match.group(1)) > LAST_PER_FILE_RULE:
+    if match and int(match.group(1)) in WHOLE_PROGRAM_RULES:
         return "simflow"
     return "simlint"
 
 
 def _pass_for_fingerprint(fingerprint: str) -> str:
     match = _FINGERPRINT_RULE.search(fingerprint)
-    if match and int(match.group(1)) > LAST_PER_FILE_RULE:
+    if match and int(match.group(1)) in WHOLE_PROGRAM_RULES:
         return "simflow"
     return "simlint"
 

@@ -4,9 +4,7 @@ Static analysis (simlint) catches contract violations it can see in the
 source; this module catches the ones that only appear at runtime -- a
 refactored event queue that loses FIFO order, a scheduler bug that drives
 a shaper bin negative, a float sneaking into cycle arithmetic through a
-config value.  Checks are **off by default** and cost one attribute/global
-read per guarded call when disabled, so production runs pay essentially
-nothing.
+config value.  Checks are **off by default**.
 
 Enable them:
 
@@ -14,17 +12,22 @@ Enable them:
 * programmatically: ``contracts.set_enabled(True)`` / ``set_enabled(False)``
 * scoped (tests): ``with contracts.enabled_scope(): ...``
 
-Components that want zero per-event overhead when disabled (the engine's
-event loop) capture :func:`is_enabled` once at construction; everything
-else consults the global through :func:`check` / :func:`invariant` on each
-call.  Contracts are *observers only*: they never mutate simulator state,
-so enabling them cannot change simulation results (pinned by
-``tests/test_determinism.py``).
+Every runtime contract has one form, an inline guard on the live flag::
+
+    if contracts.enabled:
+        contracts.check(condition, "message %d", value)
+
+Nothing captures or rebinds the flag, so a toggle takes effect at the
+next guard (for the engine's event loop: at the next ``Engine.run``),
+with no rebuild and no reload; a disabled guard costs one attribute read
+and makes no call.  simlint's SIM015 keeps every ``contracts.check`` in
+the simulator packages behind such a guard.  Contracts are *observers
+only*: they never mutate simulator state, so enabling them cannot change
+simulation results (pinned by ``tests/test_determinism.py``).
 """
 
 from __future__ import annotations
 
-import functools
 import os
 from contextlib import contextmanager
 from typing import Callable, Iterator, List
@@ -97,25 +100,16 @@ def _env_enabled() -> bool:
     return value.strip().lower() not in ("", "0", "false", "no", "off")
 
 
-_enabled: bool = _env_enabled()
-
-
-def is_enabled() -> bool:
-    """Are runtime contracts currently active?"""
-    return _enabled
+#: the live flag every guard reads; set it through :func:`set_enabled`
+#: or :func:`enabled_scope`, never capture it
+enabled: bool = _env_enabled()
 
 
 def set_enabled(on: bool) -> bool:
-    """Turn contracts on/off globally; returns the previous setting.
-
-    Components that captured the flag at construction (the
-    :class:`~repro.sim.engine.Engine`) keep their captured value; create
-    them after toggling, or use :func:`enabled_scope` around the whole
-    simulation setup.
-    """
-    global _enabled
-    previous = _enabled
-    _enabled = bool(on)
+    """Turn contracts on/off globally; returns the previous setting."""
+    global enabled
+    previous = enabled
+    enabled = bool(on)
     return previous
 
 
@@ -132,71 +126,9 @@ def enabled_scope(on: bool = True) -> Iterator[None]:
 def check(condition: bool, message: str, *args: object) -> None:
     """Raise :class:`ContractViolation` unless ``condition`` holds.
 
-    The condition is evaluated by the *caller*, so hot paths should guard
-    the whole block with ``if contracts.is_enabled():`` to avoid computing
-    it when contracts are off.
+    A no-op while contracts are disabled.  The condition is evaluated by
+    the *caller*, so simulator code guards the call with
+    ``if contracts.enabled:`` to compute nothing when contracts are off.
     """
-    if _enabled and not condition:
+    if enabled and not condition:
         _violate(message % args if args else message)
-
-
-def hot_bind(bound_method: Callable) -> Callable:
-    """Fastest safe callable for a contract-wrapped bound method.
-
-    When contracts are disabled at bind time, returns the *undecorated*
-    method re-bound to the same instance, eliminating the wrapper's
-    per-call frame on hot paths.  When contracts are enabled -- or the
-    method was never wrapped -- the original bound method is returned
-    unchanged.  Like :class:`~repro.sim.engine.Engine`, the flag is
-    captured at bind time: bind inside :func:`enabled_scope` (or under
-    ``REPRO_CONTRACTS=1``) to keep the checks.
-    """
-    if _enabled:
-        return bound_method
-    func = getattr(bound_method, "__func__", None)
-    raw = getattr(func, "__wrapped__", None)
-    if raw is None:
-        return bound_method
-    return raw.__get__(bound_method.__self__)
-
-
-def invariant(*predicates: Callable[[object], bool],
-              when: str = "post") -> Callable:
-    """Method decorator asserting object invariants around a call.
-
-    Each predicate takes the instance and returns True when the invariant
-    holds; its docstring (or name) becomes the failure message.  ``when``
-    is ``"post"`` (default), ``"pre"``, or ``"both"``.  When contracts are
-    disabled the wrapper is a single global read plus the original call.
-    """
-    if when not in ("pre", "post", "both"):
-        raise ValueError(f"when must be pre/post/both, not {when!r}")
-    check_pre = when in ("pre", "both")
-    check_post = when in ("post", "both")
-
-    def describe(predicate: Callable[[object], bool]) -> str:
-        doc = (predicate.__doc__ or "").strip().splitlines()
-        return doc[0] if doc else predicate.__name__
-
-    def decorator(method: Callable) -> Callable:
-        @functools.wraps(method)
-        def wrapper(self, *args: object, **kwargs: object):
-            if not _enabled:
-                return method(self, *args, **kwargs)
-            if check_pre:
-                for predicate in predicates:
-                    if not predicate(self):
-                        _violate(
-                            f"{type(self).__name__}.{method.__name__} "
-                            f"precondition violated: {describe(predicate)}")
-            result = method(self, *args, **kwargs)
-            if check_post:
-                for predicate in predicates:
-                    if not predicate(self):
-                        _violate(
-                            f"{type(self).__name__}.{method.__name__} "
-                            f"postcondition violated: {describe(predicate)}")
-            return result
-        return wrapper
-
-    return decorator

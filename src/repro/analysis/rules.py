@@ -1,8 +1,9 @@
-"""The built-in SIM001-SIM008 rule set.
+"""The built-in SIM001-SIM008 and SIM015 rule set.
 
 Every rule guards one clause of the simulator's determinism contract
 (README "Determinism contract"): integer-cycle time, FIFO same-cycle event
-order, seeded randomness, and no hidden wall-clock or ordering leaks.
+order, seeded randomness, and no hidden wall-clock or ordering leaks --
+or, for SIM015, keeps the contracts-off path free of contract calls.
 Rules are pure AST analyses -- the linted code is never imported.
 """
 
@@ -10,7 +11,7 @@ from __future__ import annotations
 
 import ast
 import re
-from typing import Iterable, Iterator, List, Optional, Sequence, Set
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .findings import Finding, Severity
 from .linter import Module
@@ -551,3 +552,74 @@ class SwallowedExceptionRule(Rule):
         return (isinstance(stmt, ast.Expr)
                 and isinstance(stmt.value, ast.Constant)
                 and stmt.value.value is Ellipsis)
+
+
+# ----------------------------------------------------------------------
+# SIM015
+
+
+def _is_contracts_flag(test: ast.expr) -> bool:
+    """``contracts.enabled``, alone or as one operand of an ``and``."""
+    if isinstance(test, ast.BoolOp) and isinstance(test.op, ast.And):
+        return any(_is_contracts_flag(value) for value in test.values)
+    return (isinstance(test, ast.Attribute) and test.attr == "enabled"
+            and isinstance(test.value, ast.Name)
+            and test.value.id == "contracts")
+
+
+def _guarded_calls(node: ast.AST, guarded: bool = False,
+                   function: Optional[str] = None,
+                   ) -> Iterator[Tuple[ast.Call, bool, Optional[str]]]:
+    """Every call under ``node``, with whether the body of an
+    ``if contracts.enabled:`` encloses it and the name of its innermost
+    enclosing function.  A ``def`` starts unguarded: its body runs where
+    it is called, not where it is defined."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        guarded, function = False, node.name
+    elif isinstance(node, ast.Call):
+        yield node, guarded, function
+    if isinstance(node, ast.If) and _is_contracts_flag(node.test):
+        for stmt in node.body:
+            yield from _guarded_calls(stmt, True, function)
+        for stmt in node.orelse:
+            yield from _guarded_calls(stmt, guarded, function)
+        return
+    for child in ast.iter_child_nodes(node):
+        yield from _guarded_calls(child, guarded, function)
+
+
+@rule
+class UnguardedContractRule(Rule):
+    """Runtime contracts cost nothing when off: every check is guarded."""
+
+    id = "SIM015"
+    severity = Severity.ERROR
+    title = "contracts.check() call not inside an `if contracts.enabled:` block"
+    fix_hint = ("write the contract as `if contracts.enabled: "
+                "contracts.check(...)`, or move it into a private helper "
+                "that is only called under that guard")
+
+    scope_parts = frozenset({"sim", "core", "dram", "sched"})
+
+    def check(self, module: Module) -> Iterable[Finding]:
+        calls = list(_guarded_calls(module.tree))
+        # A private helper counts as guarded when every call to it in
+        # this module is (``CreditState._check_counters``).
+        sites: Dict[str, List[bool]] = {}
+        for call, guarded, _function in calls:
+            func = call.func
+            name = func.attr if isinstance(func, ast.Attribute) else \
+                getattr(func, "id", None)
+            if name is not None:
+                sites.setdefault(name, []).append(guarded)
+        for call, guarded, function in calls:
+            if guarded or _call_name(call) != "contracts.check":
+                continue
+            if function is not None and function.startswith("_") \
+                    and all(sites.get(function, [False])):
+                continue
+            yield module.finding(
+                self, call,
+                "contracts.check() outside an `if contracts.enabled:` "
+                "block computes its condition and makes a call even "
+                "when contracts are off")

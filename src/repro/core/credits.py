@@ -14,17 +14,6 @@ from ..analysis import contracts
 from .bins import BinConfig
 
 
-def _credits_within_bounds(state: "CreditState") -> bool:
-    """every bin credit count stays within [0, K_i]"""
-    return all(0 <= count <= limit for count, limit
-               in zip(state.counts, state._config.credits))
-
-
-def _one_counter_per_bin(state: "CreditState") -> bool:
-    """one credit counter per configured bin"""
-    return len(state.counts) == state._config.spec.num_bins
-
-
 class CreditState:
     """Mutable per-bin credit counters mirroring the hardware registers.
 
@@ -43,7 +32,6 @@ class CreditState:
     def config(self) -> BinConfig:
         return self._config
 
-    @contracts.invariant(_credits_within_bounds, _one_counter_per_bin)
     def reconfigure(self, config: BinConfig, reset: bool = True) -> None:
         """Install a new allocation (OS writing the config registers).
 
@@ -59,11 +47,14 @@ class CreditState:
         else:
             self.counts = [min(count, limit)
                            for count, limit in zip(self.counts, config.credits)]
+        if contracts.enabled:
+            self._check_counters("reconfigure")
 
-    @contracts.invariant(_credits_within_bounds, _one_counter_per_bin)
     def replenish(self) -> None:
         """Algorithm 1: reset every ``n_i`` to ``K_i``."""
         self.counts = list(self._config.credits)
+        if contracts.enabled:
+            self._check_counters("replenish")
 
     def available(self, bin_index: int) -> int:
         return self.counts[bin_index]
@@ -86,14 +77,14 @@ class CreditState:
                 return index
         return None
 
-    @contracts.invariant(_credits_within_bounds, _one_counter_per_bin)
     def deduct(self, bin_index: int) -> None:
         """Consume one credit from ``bin_index``."""
         if self.counts[bin_index] <= 0:
             raise ValueError(f"bin {bin_index} has no credits to deduct")
         self.counts[bin_index] -= 1
+        if contracts.enabled:
+            self._check_counters("deduct")
 
-    @contracts.invariant(_credits_within_bounds, _one_counter_per_bin)
     def refund(self, bin_index: int) -> None:
         """Return one credit (hybrid method 2: the L1 miss was an LLC hit).
 
@@ -103,6 +94,24 @@ class CreditState:
         limit = self._config.credits[bin_index]
         if self.counts[bin_index] < limit:
             self.counts[bin_index] += 1
+        if contracts.enabled:
+            self._check_counters("refund")
+
+    def _check_counters(self, method: str) -> None:
+        """Post-check of every counter write: one counter per configured
+        bin, and each ``n_i`` within ``[0, K_i]`` (Algorithm 1's register
+        semantics).  Called only under ``if contracts.enabled:``."""
+        credits = self._config.credits
+        contracts.check(
+            len(self.counts) == self._config.spec.num_bins,
+            "CreditState.%s postcondition violated: one credit counter "
+            "per configured bin", method)
+        contracts.check(
+            all(0 <= count <= limit
+                for count, limit in zip(self.counts, credits)),
+            "CreditState.%s postcondition violated: every bin credit "
+            "count stays within [0, K_i], got %r of %r", method,
+            self.counts, credits)
 
     def snapshot(self) -> List[int]:
         """Copy of the live counters (starvation diagnostics; a copy so

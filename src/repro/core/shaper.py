@@ -236,8 +236,8 @@ class MittsShaper(SourceLimiter):
 
         The analytic oracle (:mod:`repro.validate.bounds`) asserts
         ``n_i <= K_i`` for every bin from *outside* the credit machinery,
-        so the check stays meaningful even when the contracts invariants
-        inside :class:`~repro.core.credits.CreditState` are compiled out.
+        so the check stays meaningful even when the runtime contracts
+        inside :class:`~repro.core.credits.CreditState` are switched off.
         Reads copies only; never perturbs the registers.
         """
         return list(zip(self.state.snapshot(), self.config.credits))

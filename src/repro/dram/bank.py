@@ -37,7 +37,7 @@ class Bank:
         start = max(now, self.ready_cycle)
         self.open_row = None
         self.ready_cycle = start + self.timing.t_rfc
-        if contracts.is_enabled():
+        if contracts.enabled:
             contracts.check(self.ready_cycle >= prev_ready,
                             "Bank refresh regressed ready_cycle from %d "
                             "to %d", prev_ready, self.ready_cycle)

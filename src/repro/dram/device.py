@@ -72,8 +72,8 @@ class DramDevice:
             self._maybe_refresh(now)
         flat, row, channel = request.dram_coord
         bank = self.banks[flat]
-        guarded = contracts.is_enabled()
-        if guarded:
+        prev_ready = start = bank.ready_cycle
+        if contracts.enabled:
             fresh = self.mapper.fresh_coord(request.address)
             contracts.check(request.dram_coord == fresh,
                             "request %r stamped %r, but its address maps "
@@ -84,10 +84,8 @@ class DramDevice:
                             "and rows are integers", row, now)
             contracts.check(now >= 0, "DRAM access at negative cycle %r",
                             now)
-            prev_ready = bank.ready_cycle
         timing = self.timing
         t_bl = self._t_bl
-        start = bank.ready_cycle
         if now > start:
             start = now
         open_row = bank.open_row
@@ -113,7 +111,7 @@ class DramDevice:
         if request.is_write:
             next_ready += timing.t_wr
         bank.ready_cycle = next_ready
-        if guarded:
+        if contracts.enabled:
             # Row-buffer legality: the access leaves ``row`` open, never
             # finishes before it starts, and bank readiness only advances.
             contracts.check(bank.open_row == row,

@@ -12,7 +12,7 @@ reproduces an uninterrupted one hash-for-hash
 
 On-disk format (versioned + checksummed, modelled on the result cache)::
 
-    repro-checkpoint-v11\n
+    repro-checkpoint-v12\n
     <sha256 hex of meta+body>\n
     <one-line JSON meta: version, cycle, cores, pending_events>\n
     <pickle body>
@@ -22,18 +22,10 @@ observe a complete checkpoint; a truncated or bit-rotted file fails the
 digest and raises :class:`CheckpointError` -- callers (the runner, the
 chaos suite) treat that as "no checkpoint" and recompute from cycle 0.
 
-Two restore caveats, both behaviour-preserving:
-
-* the engine re-captures the contracts flag at load time, so a checkpoint
-  saved with contracts off resumes checked under ``REPRO_CONTRACTS=1``
-  (and vice versa);
-* callbacks bound via :func:`repro.analysis.contracts.hot_bind` (the
-  controller's completion callback and the LLC's miss forward) are bound
-  again at load time, by the same ``SimSystem._bind_hot_paths`` that
-  construction calls, for the same reason: a bound method pickles by
-  name, so they would otherwise restore as the decorated methods.  Events
-  already queued keep whichever variant they hold -- the decorated and
-  raw variants are observationally identical, so fingerprints agree.
+A restore needs no fix-up: nothing in the graph captures the contracts
+flag (every guard reads the live ``repro.analysis.contracts.enabled``),
+so a checkpoint saved with contracts off resumes checked under
+``REPRO_CONTRACTS=1``, and vice versa.
 
 This module also hosts the *ambient job checkpoint path*: the runner
 assigns each job a deterministic checkpoint file (keyed by spec hash) and
@@ -55,7 +47,7 @@ from typing import Callable, Iterator, Optional
 #: bump when the on-disk layout or the shape of the pickled object graph
 #: changes (slots or config fields added/removed), so an old file fails
 #: with :class:`CheckpointError` instead of a half-restored object
-CHECKPOINT_VERSION = 11
+CHECKPOINT_VERSION = 12
 _MAGIC_PREFIX = b"repro-checkpoint-v"
 _MAGIC = _MAGIC_PREFIX + b"%d\n" % CHECKPOINT_VERSION
 
@@ -159,10 +151,7 @@ def read_checkpoint_meta(path) -> dict:
 def load_checkpoint(path):
     """Restore a system saved with :func:`save_checkpoint`.
 
-    Verifies magic, version, and integrity digest before unpickling, and
-    refreshes the engine's captured contracts flag and the hot-bound
-    callbacks so the resumed run honours the *current*
-    ``REPRO_CONTRACTS`` setting.
+    Verifies magic, version, and integrity digest before unpickling.
     """
     path = os.fspath(path)
     try:
@@ -183,7 +172,6 @@ def load_checkpoint(path):
         raise CheckpointError(
             f"{path!r} metadata says cycle {meta.get('cycle')} but the "
             f"restored engine is at {system.engine.now}")
-    system._bind_hot_paths()
     return system
 
 

@@ -19,8 +19,8 @@ CPython speed without giving up determinism:
 * :meth:`run` hoists the heap, ``heappop`` and the no-arg sentinel into
   locals and batches same-cycle event chains so the horizon comparison is
   paid once per simulated cycle, not once per event;
-* the contract-checked and ``max_events``-counting variant lives on a
-  separate slow path so the common case (``run(until=...)``) stays lean.
+* the contract-checked variant lives on a separate slow path, picked
+  when :meth:`run` is called, so the contracts-off loop stays lean.
 
 Every fast-path shortcut preserves the FIFO pop order of the seeded heap,
 so results are bit-identical to the straightforward loop (pinned by the
@@ -103,23 +103,22 @@ class Engine:
     :mod:`repro.analysis.contracts`) the engine verifies its two core
     invariants on every event -- time never runs backwards and same-cycle
     events pop in FIFO scheduling order -- and rejects non-integer cycle
-    arguments at :meth:`schedule` time.  The flag is captured at
-    construction so the disabled case costs one attribute read per event.
+    arguments at :meth:`schedule` time.  Both read the live
+    ``contracts.enabled`` flag: :meth:`schedule` on every call, :meth:`run`
+    once when it is called to pick the checked loop.
 
     Pickling stores the sequence counter as a plain int and restores a
     fresh ``itertools.count`` from it; saving never touches the live
     counter.
     """
 
-    __slots__ = ("now", "_queue", "_counter", "_stopped", "_contracts",
-                 "events_executed")
+    __slots__ = ("now", "_queue", "_counter", "_stopped", "events_executed")
 
     def __init__(self) -> None:
         self.now: int = 0
         self._queue: List[Tuple[int, int, Callable, object]] = []
         self._counter = itertools.count()
         self._stopped = False
-        self._contracts = contracts.is_enabled()
         #: cumulative number of events executed (perf accounting only;
         #: never feeds back into simulated behaviour)
         self.events_executed: int = 0
@@ -142,7 +141,7 @@ class Engine:
         Scheduling in the past is clamped to the current cycle; this lets
         components compute "ready" times without worrying about underflow.
         """
-        if self._contracts:
+        if contracts.enabled:
             contracts.check(
                 isinstance(when, int),
                 "Engine.schedule(when=%r): simulated time is integer CPU "
@@ -168,17 +167,16 @@ class Engine:
         """Number of events still queued."""
         return len(self._queue)
 
-    def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> int:
-        """Run events until the queue drains, ``until`` cycles pass, or
-        ``max_events`` events have executed.
+    def run(self, until: Optional[int] = None) -> int:
+        """Run events until the queue drains or ``until`` cycles pass.
 
         Returns the final simulation time.  Events scheduled at exactly
         ``until`` do *not* run (the horizon is exclusive), so repeated calls
         with increasing horizons never execute an event twice.
         """
         self._stopped = False
-        if self._contracts or max_events is not None:
-            return self._run_checked(until, max_events)
+        if contracts.enabled:
+            return self._run_checked(until)
 
         # Fast path: locals for everything touched per event, and an inner
         # loop that drains each cycle's whole event chain with one horizon
@@ -213,22 +211,19 @@ class Engine:
         finally:
             self.events_executed += executed
 
-    def _run_checked(self, until: Optional[int],
-                     max_events: Optional[int]) -> int:
-        """Reference event loop: contract checks and ``max_events``."""
+    def _run_checked(self, until: Optional[int]) -> int:
+        """Reference event loop, one event at a time, checking time
+        monotonicity and heap-FIFO order before each event."""
         executed = 0
         last_seq = -1
-        checked = self._contracts
         try:
             while self._queue and not self._stopped:
                 when = self._queue[0][0]
                 if until is not None and when >= until:
                     self.now = until
                     return self.now
-                if max_events is not None and executed >= max_events:
-                    return self.now
                 when, seq, callback, arg = _heappop(self._queue)
-                if checked:
+                if contracts.enabled:
                     contracts.check(
                         when >= self.now,
                         "time monotonicity violated: popped event at cycle %d "

@@ -27,16 +27,6 @@ from .request import MemoryRequest
 from .stats import SystemStats
 
 
-def _queue_within_depth(mc: "MemoryController") -> bool:
-    """scheduler-visible transaction queue stays within queue_depth"""
-    return len(mc.queue) <= mc.queue_depth
-
-
-def _inflight_within_banks(mc: "MemoryController") -> bool:
-    """in-flight DRAM requests stay within [0, total_banks]"""
-    return 0 <= mc._inflight <= mc._max_inflight
-
-
 class MemoryController:
     """Transaction queue feeding the DRAM device via a scheduler policy."""
 
@@ -59,7 +49,9 @@ class MemoryController:
         self.overflow: Deque[MemoryRequest] = deque()
         self._inflight = 0
         self._max_inflight = dram.timing.total_banks
-        self._bind_hot_paths()
+        #: the completion callback, bound once (one allocation, not one
+        #: per event)
+        self._complete_cb = self._complete
         self._cores = stats.cores if stats is not None else None
         #: cumulative requests handed to DRAM -- the forward-progress
         #: watchdog's dequeue probe; never feeds back into behaviour
@@ -70,12 +62,6 @@ class MemoryController:
         #: state, so attaching one is bit-neutral.
         self.probe = None
 
-    def _bind_hot_paths(self) -> None:
-        """Pre-bind the completion callback (one allocation, not one per
-        event): contract-free when contracts are off in this process."""
-        self._complete_cb = contracts.hot_bind(self._complete)
-
-    @contracts.invariant(_queue_within_depth, _inflight_within_banks)
     def enqueue(self, request: MemoryRequest) -> None:
         request.mc_arrival_cycle = self.engine.now
         request.dram_coord = self.dram.mapper.coord(request.address)
@@ -93,6 +79,8 @@ class MemoryController:
                 stats.peak_queue_depth = depth
         if self._inflight < self._max_inflight:
             self._dispatch()
+        if contracts.enabled:
+            self._check_occupancy("enqueue")
 
     @property
     def pending(self) -> int:
@@ -138,7 +126,6 @@ class MemoryController:
         self._inflight = inflight
         self.dispatched += dispatched
 
-    @contracts.invariant(_queue_within_depth, _inflight_within_banks)
     def _complete(self, request: MemoryRequest) -> None:
         self._inflight -= 1
         now = self.engine.now
@@ -151,9 +138,30 @@ class MemoryController:
                 core.writebacks += 1
             else:
                 core.dram_requests += 1
-        self.scheduler.on_complete(request, now)
+        on_complete = self.scheduler.on_complete
+        if on_complete is not None:
+            on_complete(request, now)
         self.complete(request)
-        self._dispatch()
+        if self.queue:
+            self._dispatch()
+        if contracts.enabled:
+            self._check_occupancy("_complete")
+
+    def _check_occupancy(self, method: str) -> None:
+        """Post-check of ``enqueue`` and ``_complete``: the
+        scheduler-visible queue stays within ``queue_depth`` and in-flight
+        DRAM requests within ``[0, total_banks]``.  Called only under
+        ``if contracts.enabled:``."""
+        contracts.check(
+            len(self.queue) <= self.queue_depth,
+            "MemoryController.%s postcondition violated: scheduler-visible "
+            "transaction queue (%d) stays within queue_depth (%d)", method,
+            len(self.queue), self.queue_depth)
+        contracts.check(
+            0 <= self._inflight <= self._max_inflight,
+            "MemoryController.%s postcondition violated: in-flight DRAM "
+            "requests (%d) stay within [0, total_banks=%d]", method,
+            self._inflight, self._max_inflight)
 
 
 class MemorySchedulerProtocol:
@@ -172,5 +180,7 @@ class MemorySchedulerProtocol:
                controller: MemoryController) -> Optional[MemoryRequest]:
         raise NotImplementedError
 
-    def on_complete(self, request: MemoryRequest, now: int) -> None:
-        """Completion hook (service-rate accounting for TCM/MISE)."""
+    #: Completion hook ``on_complete(request, now)`` (service-rate
+    #: accounting for TCM/MISE).  ``None`` means the scheduler has none,
+    #: and the controller skips the call.
+    on_complete: Optional[Callable[[MemoryRequest, int], None]] = None

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Sequence
 
-from ..analysis import contracts
 from ..core.limiter import NoLimiter, SourceLimiter
 from ..dram.device import DramDevice
 from ..dram.timing import DDR3_1333, DramTiming
@@ -195,7 +194,6 @@ class SimSystem:
                              bank_busy=self.config.llc_bank_busy,
                              stats=self.stats,
                              req_ids=self.request_ids)
-        self._bind_hot_paths()
 
         self.ports: List[ShaperPort] = []
         self.cores: List[CoreModel] = []
@@ -232,19 +230,6 @@ class SimSystem:
         #: optional forward-progress monitor (see repro.resilience.watchdog)
         self.watchdog = None
         self._started = False
-
-    def _bind_hot_paths(self) -> None:
-        """Bind the contract-checked hot callbacks for this process.
-
-        Called at construction and again by ``load_checkpoint``: the
-        engine captures the contracts flag once, and a hot-bound method
-        pickles by name, so it restores as the decorated method.  Both
-        must follow the current process's ``REPRO_CONTRACTS`` setting.
-        """
-        self.engine._contracts = contracts.is_enabled()
-        mc = self.mc
-        mc._bind_hot_paths()
-        self.llc.forward_miss = contracts.hot_bind(mc.enqueue)
 
     def _mlp_for(self, trace, core_id: int,
                  mlps: Optional[Sequence[int]]) -> int:

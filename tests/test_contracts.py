@@ -8,17 +8,22 @@ simulation results (the latter is pinned in tests/test_determinism.py).
 import heapq
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
 from repro.analysis import ContractViolation, contracts
 from repro.core.bins import BinConfig
 from repro.core.credits import CreditState
+from repro.core.shaper import MittsShaper
 from repro.dram.device import DramDevice
 from repro.dram.timing import DDR3_1333
+from repro.sched.base import FrFcfsScheduler
 from repro.sim.engine import Engine, _NO_ARG
 from repro.sim.memctrl import MemoryController
 from repro.sim.request import MemoryRequest
+from repro.sim.system import SCALED_MULTI_CONFIG, SimSystem
+from repro.workloads.mixes import workload_traces
 
 
 @pytest.fixture
@@ -27,20 +32,27 @@ def contracts_on():
         yield
 
 
+def _shaped_limiters():
+    """Method-2 shapers for a Table III mix: one fast and three slow
+    credits per window, so every program stalls in its shaper."""
+    credits = (1, 0, 0, 0, 0, 0, 0, 0, 0, 3)
+    return [MittsShaper(BinConfig.from_credits(credits)) for _ in range(4)]
+
+
 class TestToggle:
     def test_default_follows_environment(self):
         # Off unless REPRO_CONTRACTS opts in (the suite also runs under
         # REPRO_CONTRACTS=1, where the default is on).
-        assert contracts.is_enabled() == contracts._env_enabled()
+        assert contracts.enabled == contracts._env_enabled()
 
     def test_enabled_scope_restores_previous_state(self):
-        before = contracts.is_enabled()
+        before = contracts.enabled
         with contracts.enabled_scope():
-            assert contracts.is_enabled()
+            assert contracts.enabled
             with contracts.enabled_scope(False):
-                assert not contracts.is_enabled()
-            assert contracts.is_enabled()
-        assert contracts.is_enabled() == before
+                assert not contracts.enabled
+            assert contracts.enabled
+        assert contracts.enabled == before
 
     def test_env_variable_activates(self):
         import os
@@ -49,7 +61,7 @@ class TestToggle:
         src_dir = os.path.dirname(os.path.dirname(
             os.path.abspath(repro.__file__)))
         script = ("from repro.analysis import contracts; "
-                  "import sys; sys.exit(0 if contracts.is_enabled() else 1)")
+                  "import sys; sys.exit(0 if contracts.enabled else 1)")
         for value, expected in [("1", 0), ("0", 1), ("", 1), ("yes", 0)]:
             env = dict(os.environ, REPRO_CONTRACTS=value, PYTHONPATH=src_dir)
             result = subprocess.run([sys.executable, "-c", script], env=env)
@@ -66,35 +78,6 @@ class TestToggle:
 
     def test_violation_is_an_assertion_error(self):
         assert issubclass(ContractViolation, AssertionError)
-
-
-class TestInvariantDecorator:
-    class Counter:
-        def __init__(self):
-            self.value = 0
-
-        @contracts.invariant(lambda self: self.value >= 0)
-        def bump(self, delta):
-            self.value += delta
-            return self.value
-
-    def test_passes_through_when_holding(self, contracts_on):
-        counter = self.Counter()
-        assert counter.bump(3) == 3
-
-    def test_raises_on_broken_postcondition(self, contracts_on):
-        counter = self.Counter()
-        with pytest.raises(ContractViolation, match="postcondition"):
-            counter.bump(-1)
-
-    def test_disabled_decorator_does_not_check(self):
-        with contracts.enabled_scope(False):
-            counter = self.Counter()
-            assert counter.bump(-5) == -5
-
-    def test_rejects_bad_when(self):
-        with pytest.raises(ValueError):
-            contracts.invariant(lambda self: True, when="sometimes")
 
 
 class TestEngineContracts:
@@ -135,14 +118,15 @@ class TestEngineContracts:
         engine.run()
         assert log == [0, 1, 2, 3]
 
-    def test_flag_captured_at_construction(self):
-        # An engine built while contracts are off never checks, even if
-        # they are enabled afterwards: build systems inside the scope.
+    def test_flag_is_read_live(self):
+        # An engine built while contracts are off checks as soon as they
+        # are switched on: nothing captured the flag at construction.
         with contracts.enabled_scope(False):
             engine = Engine()
-        with contracts.enabled_scope():
             engine.schedule(0.5, lambda: None)  # silently accepted
-            assert Engine()._contracts
+        with contracts.enabled_scope():
+            with pytest.raises(ContractViolation, match="integer CPU"):
+                engine.schedule(0.5, lambda: None)
 
 
 class TestCreditContracts:
@@ -168,6 +152,22 @@ class TestCreditContracts:
         state.counts.append(7)
         with pytest.raises(ContractViolation, match="postcondition"):
             state.refund(0)
+
+    def test_switched_on_after_construction_checks_next_deduct(self):
+        # A system built and run with contracts off checks its credit
+        # counters at the next deduct once they are switched on.
+        with contracts.enabled_scope(False):
+            system = SimSystem(workload_traces(1, seed=3),
+                               config=SCALED_MULTI_CONFIG,
+                               limiters=_shaped_limiters())
+            system.run(2_000)
+            state = system.ports[0].limiter.state
+            state.counts[0] = 1
+            state.counts[9] = state.config.credits[9] + 2  # n_9 > K_9
+        with contracts.enabled_scope():
+            with pytest.raises(ContractViolation,
+                               match=r"CreditState\.deduct .*\[0, K_i\]"):
+                state.deduct(0)
 
 
 class TestMemoryControllerContracts:
@@ -236,3 +236,37 @@ class TestBankContracts:
         bank.refresh(now=0)
         assert bank.open_row is None
         assert bank.ready_cycle >= before
+
+
+class TestContractsOffPath:
+    """With contracts off, a run makes no call into the contracts module:
+    every guard is an inline flag read."""
+
+    @pytest.mark.parametrize("kernel", ["heap", "batched"])
+    @pytest.mark.parametrize("mix, shaped", [(1, True), (4, False)],
+                             ids=["shaped-mix1", "frfcfs-mix4"])
+    def test_run_enters_no_contract_function(self, mix, shaped, kernel):
+        traces = workload_traces(mix, seed=1)
+        config = replace(SCALED_MULTI_CONFIG, kernel=kernel)
+        entered = []
+
+        def profile(frame, event, arg):
+            if event == "call" and \
+                    frame.f_globals.get("__name__") == contracts.__name__:
+                entered.append(frame.f_code.co_name)
+
+        with contracts.enabled_scope(False):
+            if shaped:
+                system = SimSystem(traces, config=config,
+                                   limiters=_shaped_limiters())
+            else:
+                system = SimSystem(traces, config=config,
+                                   scheduler=FrFcfsScheduler(len(traces)))
+            previous = sys.getprofile()
+            sys.setprofile(profile)
+            try:
+                system.run(20_000)
+            finally:
+                sys.setprofile(previous)
+        assert sum(core.dram_requests for core in system.stats.cores) > 0
+        assert entered == []

@@ -64,7 +64,7 @@ def test_contracts_do_not_perturb_simulation():
 
     baseline = digest()
     with contracts.enabled_scope():
-        assert contracts.is_enabled()
+        assert contracts.enabled
         first = digest()
         second = digest()
     assert first == second, "contracts broke run-to-run determinism"

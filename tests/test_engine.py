@@ -173,27 +173,6 @@ class TestControl:
         assert log == [(1, None)] or log == [1]
         assert engine.pending_events == 1
 
-    def test_max_events(self):
-        engine = Engine()
-        log = []
-        for i in range(5):
-            engine.schedule(i, lambda i=i: log.append(i))
-        engine.run(max_events=3)
-        assert log == [0, 1, 2]
-
-    def test_max_events_counts_exactly(self):
-        # A capped run executes exactly max_events, and the rest resumes.
-        engine = Engine()
-        log = []
-        for i in range(5):
-            engine.schedule(i, lambda i=i: log.append(i))
-        engine.run(max_events=3)
-        assert log == [0, 1, 2]
-        assert engine.events_executed == 3
-        engine.run()
-        assert log == [0, 1, 2, 3, 4]
-        assert engine.events_executed == 5
-
     def test_stop_keeps_unexecuted_tail(self):
         # Stopping mid-cycle keeps the rest of that cycle queued, in order.
         engine = Engine()

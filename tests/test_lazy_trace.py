@@ -120,7 +120,7 @@ class TestProportionalWork:
         system = SimSystem(traces, config=config)
         system.run(3_000)
         _assert_proportional(system)
-        if config is BATCHED and not contracts.is_enabled():
+        if config is BATCHED and not contracts.enabled:
             assert all(core._works is core._prefix.works
                        and core._n == len(core._prefix)
                        for core in system.cores)
@@ -191,7 +191,7 @@ class TestSharedMemo:
             assert system.stats.snapshot() == reference.stats.snapshot()
         assert early.cores[0]._prefix is first.cores[0]._prefix
         assert late.cores[0]._prefix is first.cores[0]._prefix
-        if not contracts.is_enabled():
+        if not contracts.enabled:
             assert early.cores[0]._works is first.cores[0]._prefix.works
         assert early.dram.mapper._memo is first.dram.mapper._memo
 

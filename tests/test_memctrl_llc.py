@@ -175,15 +175,15 @@ class TestMissForwarding:
 
     @pytest.mark.parametrize("enabled", [False, True])
     def test_forward_is_the_checked_enqueue_under_contracts(self, enabled):
-        # Contracts on: misses enter through the invariant-checked
-        # ``enqueue``; off: through its undecorated body.
+        # Misses enter through the controller's own ``enqueue`` in both
+        # modes: its post-check is an inline guard on the live flag, so
+        # there is no separate unchecked variant to bind.
         with contracts.enabled_scope(enabled):
             system = SimSystem([trace_for("mcf", seed=5)],
                                config=SCALED_SINGLE_CONFIG)
-        checked = MemoryController.enqueue
-        expected = checked if enabled else checked.__wrapped__
-        assert system.llc.forward_miss.__func__ is expected
-        assert system.llc.forward_miss.__self__ is system.mc
+        assert system.llc.forward_miss == system.mc.enqueue
+        assert system.llc.forward_miss.__func__ is MemoryController.enqueue
+        assert system.mc._complete_cb.__func__ is MemoryController._complete
 
 
 class TestMemoryController:
@@ -237,6 +237,27 @@ class TestMemoryController:
             mc.enqueue(make_request(address=i * 8192))  # spread banks
         engine.run()
         assert len(completed) == 32
+
+    def test_completion_hook_only_when_defined(self):
+        # A scheduler without ``on_complete`` inherits None and the
+        # controller skips the call; one that defines it is called once
+        # per completed request.
+        from repro.sched.base import FrFcfsScheduler
+        from repro.sched.tcm import TcmScheduler
+        assert FrFcfsScheduler(1).on_complete is None
+        assert TcmScheduler(1).on_complete is not None
+        engine, mc, completed, _ = self.make_mc()
+        hooked = []
+        mc.scheduler.on_complete = lambda request, now: hooked.append(now)
+        for i in range(3):
+            mc.enqueue(make_request(address=i * 64))
+        engine.run()
+        assert len(hooked) == len(completed) == 3
+        engine, mc, completed, _ = self.make_mc()
+        mc.scheduler = FrFcfsScheduler(1)
+        mc.enqueue(make_request(address=0))
+        engine.run()
+        assert len(completed) == 1
 
     def test_dram_start_recorded(self):
         engine, mc, completed, _ = self.make_mc()

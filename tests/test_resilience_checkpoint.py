@@ -13,7 +13,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.analysis import contracts
+from repro.analysis import ContractViolation, contracts
 from repro.core.bins import BinConfig
 from repro.core.shaper import MittsShaper
 from repro.resilience.checkpoint import (CHECKPOINT_VERSION, CheckpointError,
@@ -25,7 +25,6 @@ from repro.resilience.checkpoint import (CHECKPOINT_VERSION, CheckpointError,
                                          run_with_checkpoints,
                                          save_checkpoint)
 from repro.sched.base import FcfsScheduler, FrFcfsScheduler
-from repro.sim.memctrl import MemoryController
 from repro.sim.system import SCALED_MULTI_CONFIG, SimSystem
 from repro.workloads.mixes import workload_traces
 
@@ -94,43 +93,25 @@ class TestGoldenResume:
             resumed.run(GOLDEN_CYCLES - HALFWAY)
             assert resumed.stats.fingerprint() == GOLDEN_MIX_WINDOW_SHAPED
 
-    def test_load_refreshes_engine_contracts_flag(self, tmp_path):
-        # Saved with contracts off, loaded with contracts on: the engine
-        # must run the checked path (its captured flag is stale).
+    def test_contracts_switched_on_after_load_check_next_deduct(
+            self, tmp_path):
+        # Saved and restored with contracts off, then switched on: the
+        # restored credit counters are checked at the very next deduct.
+        # A restore rebinds nothing, because nothing captured the flag.
         path = tmp_path / "toggle.ckpt"
         with contracts.enabled_scope(False):
-            system = _small_system()
+            system = build_mix_window_shaped()
             system.run(1_000)
             save_checkpoint(system, path)
-        with contracts.enabled_scope(True):
             resumed = load_checkpoint(path)
-            assert resumed.engine._contracts is True
-        with contracts.enabled_scope(False):
-            resumed = load_checkpoint(path)
-            assert resumed.engine._contracts is False
-
-    @pytest.mark.parametrize("saved", [False, True])
-    def test_load_rebinds_hot_callbacks(self, tmp_path, saved):
-        # The controller's completion callback and the LLC's miss forward
-        # are hot-bound: undecorated with contracts off, checked with them
-        # on.  A restore follows the loading process, not the pickle.
-        path = tmp_path / "hot.ckpt"
-        with contracts.enabled_scope(saved):
-            system = _small_system()
-            system.run(1_000)
-            save_checkpoint(system, path)
-        enqueue, complete = MemoryController.enqueue, \
-            MemoryController._complete
-        for enabled in (False, True):
-            with contracts.enabled_scope(enabled):
-                resumed = load_checkpoint(path)
-            forward = resumed.llc.forward_miss
-            callback = resumed.mc._complete_cb
-            assert forward.__self__ is callback.__self__ is resumed.mc
-            assert forward.__func__ is (
-                enqueue if enabled else enqueue.__wrapped__)
-            assert callback.__func__ is (
-                complete if enabled else complete.__wrapped__)
+            state = resumed.ports[0].limiter.state
+            state.counts[0] = 2
+            state.counts[1] = state.config.credits[1] + 5  # n_1 > K_1
+            state.deduct(0)  # off: unchecked
+        with contracts.enabled_scope():
+            with pytest.raises(ContractViolation,
+                               match=r"CreditState\.deduct .*\[0, K_i\]"):
+                state.deduct(0)
 
 
 class TestCheckpointFormat:
@@ -179,7 +160,7 @@ class TestCheckpointFormat:
         with pytest.raises(CheckpointError, match="version"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7, 8, 9, 10])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11])
     def test_previous_format_rejected(self, tmp_path, version):
         # A file from an earlier release carries its old magic line; it
         # must fail as a version mismatch, never reach the unpickler.

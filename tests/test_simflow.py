@@ -333,6 +333,7 @@ class TestBaselineV2:
     def test_pass_partition(self):
         assert pass_for_rule("SIM004") == "simlint"
         assert pass_for_rule("SIM013") == "simflow"
+        assert pass_for_rule("SIM015") == "simlint"
 
     def test_save_partitions_and_load_merges(self, tmp_path):
         target = str(tmp_path / "baseline.json")

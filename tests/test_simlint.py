@@ -27,6 +27,7 @@ FIXTURE_FILES = {
     "SIM006": "sim/sim006_lambda_capture.py",
     "SIM007": "dram/sim007_inline_timing.py",
     "SIM008": "sim/sim008_swallowed_exception.py",
+    "SIM015": "sim/sim015_unguarded_check.py",
 }
 
 
@@ -164,6 +165,29 @@ class TestRuleDetails:
                   "        log.append('tick failed')\n")
         assert not Linter(select=["SIM008"]).lint_source(source,
                                                          path="sim/x.py")
+
+    def test_sim015_helper_with_one_unguarded_caller_is_flagged(self):
+        source = ("def tick(s):\n"
+                  "    if contracts.enabled:\n"
+                  "        _check(s)\n"
+                  "    _check(s)\n"
+                  "def _check(s):\n"
+                  "    contracts.check(s.ok, 'broken')\n")
+        findings = Linter(select=["SIM015"]).lint_source(source,
+                                                         path="core/x.py")
+        assert [(f.rule, f.line) for f in findings] == [("SIM015", 6)]
+
+    def test_sim015_accepts_a_compound_guard_only_in_its_body(self):
+        source = ("def tick(s):\n"
+                  "    if contracts.enabled and s.live:\n"
+                  "        contracts.check(s.ok, 'broken')\n"
+                  "    else:\n"
+                  "        contracts.check(s.ok, 'broken')\n")
+        findings = Linter(select=["SIM015"]).lint_source(source,
+                                                         path="dram/x.py")
+        assert [(f.rule, f.line) for f in findings] == [("SIM015", 5)]
+        assert not Linter(select=["SIM015"]).lint_source(
+            source, path="validate/x.py")
 
     def test_syntax_error_becomes_sim000(self):
         findings = Linter().lint_source("def broken(:\n", path="sim/x.py")
