@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import cProfile
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..runner import wallclock
@@ -49,21 +49,16 @@ class BenchWorkload:
     """One named, seeded simulator configuration to time."""
 
     name: str
-    #: builds a fresh system; accepts an optional kernel override so
-    #: ``--verify-kernels`` can pin both engines explicitly
-    build: Callable[..., SimSystem]
+    #: builds a fresh system
+    build: Callable[[], SimSystem]
 
 
-def _build_single(kernel: Optional[str] = None) -> SimSystem:
-    config = SCALED_SINGLE_CONFIG if kernel is None \
-        else replace(SCALED_SINGLE_CONFIG, kernel=kernel)
-    return SimSystem([trace_for("mcf", seed=7)], config=config)
+def _build_single() -> SimSystem:
+    return SimSystem([trace_for("mcf", seed=7)], config=SCALED_SINGLE_CONFIG)
 
 
-def _build_mix4(kernel: Optional[str] = None) -> SimSystem:
-    config = SCALED_MULTI_CONFIG if kernel is None \
-        else replace(SCALED_MULTI_CONFIG, kernel=kernel)
-    return SimSystem(workload_traces(1, seed=7), config=config)
+def _build_mix4() -> SimSystem:
+    return SimSystem(workload_traces(1, seed=7), config=SCALED_MULTI_CONFIG)
 
 
 WORKLOADS = (
@@ -149,7 +144,6 @@ def run_benchmarks(quick: bool = False,
 #: ``(path fragment, function prefix, subsystem)`` attribution rules for
 #: ``--breakdown``; first match wins.
 _BREAKDOWN_RULES: Tuple[Tuple[str, Optional[str], str], ...] = (
-    ("sim/batched", None, "core"),
     # cProfile reports the heap builtins as "~" with the method repr
     ("~", "<built-in method _heapq.", "engine"),
     ("sim/engine", None, "engine"),
@@ -214,38 +208,6 @@ def breakdown_workload(workload: BenchWorkload, cycles: int) -> Dict:
         "cycles": cycles,
         "profiled_seconds": round(total, 6),
         "subsystems": subsystems,
-    }
-
-
-def verify_kernels(quick: bool = False,
-                   workload_names: Optional[List[str]] = None) -> Dict:
-    """Run every selected workload under both event kernels and compare.
-
-    Each workload is built twice on the one heap engine --
-    ``kernel="heap"`` (the checked oracle core) and
-    ``kernel="batched"`` (the fused core) --
-    run for the mode's cycle count, and the full statistics fingerprints
-    (:meth:`~repro.sim.stats.SystemStats.fingerprint`) must be
-    bit-identical.  This is the golden-fingerprint equivalence check at
-    benchmark scale; CI runs it inside the perf-smoke job so a kernel
-    divergence fails the build before any throughput number is trusted.
-    """
-    cycles = QUICK_CYCLES if quick else FULL_CYCLES
-    workloads = {}
-    for workload in _select(workload_names):
-        fingerprints = {}
-        for kernel in ("heap", "batched"):
-            system = workload.build(kernel)
-            system.run(cycles)
-            fingerprints[kernel] = system.stats.fingerprint()
-        workloads[workload.name] = {
-            "cycles": cycles,
-            "fingerprints": fingerprints,
-            "ok": fingerprints["heap"] == fingerprints["batched"],
-        }
-    return {
-        "workloads": workloads,
-        "ok": all(entry["ok"] for entry in workloads.values()),
     }
 
 

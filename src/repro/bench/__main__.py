@@ -7,7 +7,6 @@ Examples::
     python -m repro.bench --repeat 8       # best-of-8 on a noisy machine
     python -m repro.bench --profile        # cProfile top functions
     python -m repro.bench --breakdown      # per-subsystem time attribution
-    python -m repro.bench --verify-kernels # heap vs batched fingerprints
     python -m repro.bench --baseline benchmarks/perf/baseline.json \
         --max-regression 0.15              # exit 1 on a >15% eps drop
 """
@@ -16,14 +15,13 @@ from __future__ import annotations
 
 import argparse
 import cProfile
-import json
 import pstats
 import sys
 from typing import List, Optional
 
 from . import (FULL_CYCLES, QUICK_CYCLES, WORKLOADS, breakdown_workload,
                compare_to_baseline, dump_json, load_json, run_benchmarks,
-               verify_kernels, with_history)
+               with_history)
 
 
 def _profile(workload_names: Optional[List[str]], quick: bool,
@@ -73,9 +71,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--breakdown", action="store_true",
                         help="attribute profiled self-time to subsystems "
                              "instead of timing")
-    parser.add_argument("--verify-kernels", action="store_true",
-                        help="run each workload under both event kernels "
-                             "and require identical stats fingerprints")
     args = parser.parse_args(argv)
 
     if args.profile:
@@ -94,21 +89,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             for name, entry in report["subsystems"].items():
                 print(f"{name:>14}: {entry['seconds']:8.4f} s "
                       f"({entry['fraction']:6.1%})")
-        return 0
-
-    if args.verify_kernels:
-        report = verify_kernels(quick=args.quick,
-                                workload_names=args.workloads)
-        for name, entry in report["workloads"].items():
-            verdict = "ok" if entry["ok"] else "MISMATCH"
-            print(f"{name:>8}: heap vs batched fingerprints "
-                  f"[{verdict}] ({entry['cycles']} cycles)")
-            if not entry["ok"]:
-                print(json.dumps(entry["fingerprints"], indent=2,
-                                 sort_keys=True))
-        if not report["ok"]:
-            print("FAIL: kernel fingerprints diverged")
-            return 1
         return 0
 
     results = run_benchmarks(quick=args.quick, workload_names=args.workloads,

@@ -12,7 +12,7 @@ reproduces an uninterrupted one hash-for-hash
 
 On-disk format (versioned + checksummed, modelled on the result cache)::
 
-    repro-checkpoint-v12\n
+    repro-checkpoint-v13\n
     <sha256 hex of meta+body>\n
     <one-line JSON meta: version, cycle, cores, pending_events>\n
     <pickle body>
@@ -47,7 +47,7 @@ from typing import Callable, Iterator, Optional
 #: bump when the on-disk layout or the shape of the pickled object graph
 #: changes (slots or config fields added/removed), so an old file fails
 #: with :class:`CheckpointError` instead of a half-restored object
-CHECKPOINT_VERSION = 12
+CHECKPOINT_VERSION = 13
 _MAGIC_PREFIX = b"repro-checkpoint-v"
 _MAGIC = _MAGIC_PREFIX + b"%d\n" % CHECKPOINT_VERSION
 

@@ -16,7 +16,10 @@ window.
 Hot-path notes: both classes pre-bind their own event callbacks once at
 construction (``self._run`` / ``self._wake`` re-bound per ``schedule``
 call would allocate a bound method per event) and pass requests to the
-engine as ``(callback, arg)`` pairs instead of closures.
+engine as ``(callback, arg)`` pairs instead of closures.  The core's one
+run loop indexes the columns of the trace's prefix and looks up the L1
+through :meth:`~repro.sim.cache.Cache.access`, whose indexing covers every
+geometry.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from collections import deque
 from typing import Callable, Deque, Dict, Iterable, Optional
 
 from ..core.limiter import NoLimiter, SourceLimiter
+from ..workloads.trace import FLAG_WRITE
 from .cache import Cache
 from .engine import Engine
 from .request import MemoryRequest, RequestIdAllocator, _default_request_ids
@@ -152,15 +156,18 @@ class CoreModel(TraceReplay):
     """One trace-replaying core with an L1 cache and MSHR-bounded MLP.
 
     The trace is replayed by position (:class:`~repro.sim.soa.TraceReplay`)
-    from its shared growing prefix, so a run synthesises only what it
-    reads and a checkpoint carries the position, not the events.
+    from the columns of its shared growing prefix, so a run synthesises
+    only what it reads and a checkpoint carries the position, not the
+    events.
     """
 
     __slots__ = ("core_id", "engine", "l1", "port", "stats",
                  "mlp", "line_bytes", "throttle_multiplier",
                  "outstanding", "_blocked", "_block_start",
                  "_pending_work", "_running", "_run_cb", "_new_req_id",
-                 "_line_shift")
+                 "_next_rid", "_line_shift")
+
+    _DERIVED = TraceReplay._DERIVED | {"_next_rid"}
 
     def __init__(self, core_id: int, engine: Engine,
                  trace: Iterable, l1: Cache, port: ShaperPort,
@@ -182,13 +189,24 @@ class CoreModel(TraceReplay):
         self.outstanding: Dict[int, bool] = {}
         self._blocked = False
         self._block_start = 0
-        self._pending_work: Optional[list] = None
+        #: ``(work, address, is_write)`` of a fetched event whose access
+        #: waits for its compute gap or for a free MSHR
+        self._pending_work: Optional[tuple] = None
         self._running = False
         self._run_cb = self._run
         self._new_req_id = req_ids or _default_request_ids
         self._line_shift = line_bytes.bit_length() - 1 \
             if line_bytes & (line_bytes - 1) == 0 else None
         self._start_replay(trace)
+
+    def _derive(self) -> None:
+        # Request ids come from ``next()`` on the allocator's raw counter
+        # (one C call) instead of the allocator's ``__call__`` frame.
+        allocator = self._new_req_id
+        counter = getattr(allocator, "_count", None)
+        self._next_rid = counter.__next__ if counter is not None \
+            else allocator
+        TraceReplay._derive(self)
 
     def start(self) -> None:
         """Schedule the first activity; call once before ``engine.run``."""
@@ -197,83 +215,89 @@ class CoreModel(TraceReplay):
     # ------------------------------------------------------------------
 
     def _run(self) -> None:
-        """Process trace events until compute time elapses or we block."""
+        """Process trace events until compute time elapses or we block.
+
+        Shaped for the dominant activation: one access, one event fetch,
+        one self-reschedule.  An event with a compute gap is fetched,
+        parked in ``_pending_work`` and accessed when the core wakes at
+        the end of the gap.
+        """
         if self._blocked or self._running:
             return
         self._running = True
         engine = self.engine
-        multiplier = self.throttle_multiplier
+        now = engine.now
+        pending = self._pending_work
         # At most issue-width zero-work accesses retire per cycle; beyond
         # that the core re-schedules itself one cycle later so simulated
         # time always advances (an all-hit trace must not spin forever).
-        inline_budget = 4
+        budget = 4
         try:
             while True:
-                pending = self._pending_work
                 if pending is None:
-                    event = self._next_event()
-                    work = event.work if multiplier == 1.0 \
-                        else int(event.work * multiplier)
-                    pending = [work, work, event.address, event.is_write]
-                    self._pending_work = pending
-                remaining, work, address, is_write = pending
-                if remaining > 0:
-                    pending[0] = 0
-                    engine.schedule(engine.now + remaining, self._run_cb)
-                    return
-                if inline_budget <= 0:
-                    engine.schedule(engine.now + 1, self._run_cb)
-                    return
-                if not self._try_access(address, is_write, work):
-                    # MSHRs full: block until a response frees one.
-                    self._blocked = True
-                    self._block_start = engine.now
-                    return
-                inline_budget -= 1
-                self._pending_work = None
+                    pos = self._pos
+                    try:
+                        work = self._works[pos]
+                    except IndexError:
+                        pos = self._row_at_end(pos)
+                        work = self._works[pos]
+                    address = self._addrs[pos]
+                    is_write = self._flags[pos] & FLAG_WRITE != 0
+                    self._pos = pos + 1
+                    multiplier = self.throttle_multiplier
+                    if multiplier != 1.0:
+                        work = int(work * multiplier)
+                    if work > 0 or budget <= 0:
+                        self._pending_work = (work, address, is_write)
+                        engine.schedule(now + work if work > 0 else now + 1,
+                                        self._run_cb)
+                        return
+                else:
+                    work, address, is_write = pending
+                shift = self._line_shift
+                line = address >> shift if shift is not None \
+                    else address // self.line_bytes
+                outstanding = self.outstanding
+                stats = self.stats
+                # A line already in flight coalesces: no L1 access.
+                if line not in outstanding:
+                    l1 = self.l1
+                    if len(outstanding) >= self.mlp \
+                            and not l1.probe(address):
+                        # MSHRs full: block until a response frees one
+                        # (the miss leaves the L1 untouched).
+                        self._blocked = True
+                        self._block_start = now
+                        if pending is None:
+                            self._pending_work = (work, address, is_write)
+                        return
+                    hit, victim = l1.access(address, is_write)
+                    if hit:
+                        stats.l1_hits += 1
+                    else:
+                        stats.l1_misses += 1
+                        outstanding[line] = True
+                        port = self.port
+                        core_id = self.core_id
+                        # positional MemoryRequest: (core_id, address,
+                        # is_write, l1_miss, issue, mc_arrival, dram_start,
+                        # complete, shaper_bin, req_id)
+                        port.submit(MemoryRequest(core_id, address, is_write,
+                                                  now, 0, 0, 0, 0, -1,
+                                                  self._next_rid()))
+                        if victim is not None:
+                            # Writeback: fire-and-forget, past the shaper.
+                            port.submit_bypass(MemoryRequest(
+                                core_id, victim, True, now, 0, 0, 0, 0, -2,
+                                self._next_rid()))
+                stats.accesses += 1
+                stats.retired += 1
+                stats.work_cycles += 1 + work
+                if pending is not None:
+                    self._pending_work = pending = None
+                budget -= 1
         finally:
             self._running = False
-
-    def _try_access(self, address: int, is_write: bool, work: int) -> bool:
-        """Perform the L1 access; False when blocked on MSHRs."""
-        now = self.engine.now
-        stats = self.stats
-        shift = self._line_shift
-        line = address >> shift if shift is not None \
-            else address // self.line_bytes
-        outstanding = self.outstanding
-        if line in outstanding:
-            # Coalesced secondary miss: the line is already in flight.
-            stats.accesses += 1
-            stats.retired += 1
-            stats.work_cycles += 1 + work
-            return True
-        if len(outstanding) >= self.mlp and not self.l1.probe(address):
-            return False
-        stats.accesses += 1
-        hit, dirty_victim = self.l1.access(address, is_write)
-        if hit:
-            stats.l1_hits += 1
-            stats.retired += 1
-            stats.work_cycles += 1 + work
-            return True
-        stats.l1_misses += 1
-        outstanding[line] = True
-        request = MemoryRequest(core_id=self.core_id, address=address,
-                                is_write=is_write, l1_miss_cycle=now,
-                                req_id=self._new_req_id())
-        self.port.submit(request)
-        if dirty_victim is not None:
-            # Writeback travels the same path but needs no response.
-            writeback = MemoryRequest(core_id=self.core_id,
-                                      address=dirty_victim, is_write=True,
-                                      l1_miss_cycle=now,
-                                      req_id=self._new_req_id())
-            writeback.shaper_bin = -2  # marks fire-and-forget
-            self.port.submit_bypass(writeback)
-        stats.retired += 1
-        stats.work_cycles += 1 + work
-        return True
 
     # ------------------------------------------------------------------
 

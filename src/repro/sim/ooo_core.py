@@ -27,6 +27,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Dict, Iterable, Optional
 
+from ..workloads.trace import FLAG_DEPENDS, FLAG_WRITE
 from .cache import Cache
 from .core_model import ShaperPort
 from .engine import Engine
@@ -151,11 +152,18 @@ class WindowCoreModel(TraceReplay):
         dispatched = 0
         while dispatched < self.width and len(self._rob) < self.window:
             if self._staged is None:
-                event = self._next_event()
-                work = int(event.work * self.throttle_multiplier)
-                dep = self._last_entry if event.depends else None
-                entry = _WindowEntry(work, event.address, event.is_write,
-                                     dep=dep)
+                pos = self._pos
+                try:
+                    work = self._works[pos]
+                except IndexError:
+                    pos = self._row_at_end(pos)
+                    work = self._works[pos]
+                self._pos = pos + 1
+                flags = self._flags[pos]
+                work = int(work * self.throttle_multiplier)
+                dep = self._last_entry if flags & FLAG_DEPENDS else None
+                entry = _WindowEntry(work, self._addrs[pos],
+                                     flags & FLAG_WRITE != 0, dep=dep)
                 self._last_entry = entry
                 self._staged = entry
                 self._stage_ready = now + work

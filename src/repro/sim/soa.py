@@ -4,8 +4,8 @@ Cores replay a trace by position over its growing prefix
 (:class:`~repro.workloads.trace.TracePrefix`), so a run materialises only
 the chunks of events it reaches.  The prefix is already columnar -- one
 ``array('q')`` of works, one of addresses and a ``bytearray`` of flags --
-so the batched kernel's run loop indexes those columns directly and there
-is no second, per-kernel copy of a trace.
+so both core models index those columns directly and there is no second
+copy of a trace.
 
 The same seeded trace drives many systems (slowdown baselines, benchmark
 repeats, GA evaluations), so a synthetic trace's prefix is memoised per
@@ -55,14 +55,19 @@ class DerivedSlots:
 class TraceReplay(DerivedSlots):
     """A core's replay position: the ``(_pos, wraps)`` pair over a prefix.
 
-    The prefix is derived: a restore regenerates it up to ``_pos``.  A
+    The prefix and the bindings of its three columns (``_works``,
+    ``_addrs``, ``_flags``) are derived: a restore regenerates the prefix
+    up to ``_pos``.  A core reads event ``pos`` by indexing the columns;
+    an ``IndexError`` there means ``pos`` is past the events the prefix
+    holds, and :meth:`_row_at_end` supplies the row to read instead.  A
     replay wraps to the first event only once the prefix is the whole
     trace.
     """
 
-    __slots__ = ("trace", "wraps", "_pos", "_prefix")
+    __slots__ = ("trace", "wraps", "_pos", "_prefix", "_works", "_addrs",
+                 "_flags")
 
-    _DERIVED = frozenset({"_prefix"})
+    _DERIVED = frozenset({"_prefix", "_works", "_addrs", "_flags"})
 
     def _start_replay(self, trace) -> None:
         self.trace = trace
@@ -74,22 +79,25 @@ class TraceReplay(DerivedSlots):
         prefix = trace_prefix(self.trace)
         prefix.reach(self._pos)
         self._prefix = prefix
+        self._works = prefix.works
+        self._addrs = prefix.addrs
+        self._flags = prefix.flags
 
-    def _next_event(self):
-        pos = self._pos
-        prefix = self._prefix
-        if pos == len(prefix.works) and not prefix.extend():
-            if not pos:
-                raise ValueError("cannot replay an empty trace")
-            self.wraps += 1
-            pos = 0
-        self._pos = pos + 1
-        return prefix.event(pos)
+    def _row_at_end(self, pos: int) -> int:
+        """The row to read for position ``pos`` at the end of the prefix:
+        ``pos`` once the prefix is extended by a chunk, or -- once it is
+        the whole trace -- ``0``, counting a wrap."""
+        if self._prefix.extend():
+            return pos
+        if not pos:
+            raise ValueError("cannot replay an empty trace")
+        self.wraps += 1
+        return 0
 
 
 def trace_columns(trace, line_bytes: int) -> Optional[TracePrefix]:
     """The prefix of ``trace`` grown to the whole trace (synthesising what
-    is missing), or ``None`` where the batched core cannot replay it: a
+    is missing), or ``None`` where no coordinate table can be built: a
     non-power-of-two ``line_bytes`` or a non-iterable ``trace``."""
     if line_bytes <= 0 or line_bytes & (line_bytes - 1):
         return None

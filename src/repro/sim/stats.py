@@ -8,8 +8,9 @@ to estimate application slowdown the way MISE does.
 ``SystemStats.snapshot()`` extends that to the whole system (all cores,
 both inter-arrival histograms, DRAM row stats) and
 ``SystemStats.fingerprint()`` hashes it canonically -- the bit-identity
-oracle the event-kernel fast path is pinned against
-(``tests/test_golden_fingerprints.py``).
+oracle every simulator optimisation is pinned against (the goldens in
+``tests/test_golden_fingerprints.py`` and the pins recorded when two core
+implementations still agreed, DESIGN.md section 12.1).
 """
 
 from __future__ import annotations

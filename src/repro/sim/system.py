@@ -22,7 +22,6 @@ from typing import Callable, List, Optional, Sequence
 from ..core.limiter import NoLimiter, SourceLimiter
 from ..dram.device import DramDevice
 from ..dram.timing import DDR3_1333, DramTiming
-from .batched import BatchedCoreModel
 from .cache import Cache, CacheGeometry
 from .core_model import CoreModel, ShaperPort
 from .engine import Engine
@@ -61,16 +60,10 @@ class SystemConfig:
     issue_width: int = 4
     #: MSHRs per core for the "window" core model (Table II)
     mshrs: int = 8
-    #: core class on the one heap :class:`~repro.sim.engine.Engine`:
-    #: "batched" assembles the fused
-    #: :class:`~repro.sim.batched.BatchedCoreModel` (replay over the trace
-    #: prefix columns and an inlined L1; misses leave through the shaper
-    #: port); "heap" assembles the checked
-    #: :class:`~repro.sim.core_model.CoreModel` (the oracle).  The choice
-    #: does not depend on the contract mode, and the shaper ports, LLC,
-    #: memory controller and DRAM are the same components under either
-    #: kernel.  Both produce bit-identical results (pinned by the
-    #: golden-fingerprint suite).
+    #: inert: "heap" and "batched" both assemble the one
+    #: :class:`~repro.sim.core_model.CoreModel`; any other value raises
+    #: ``ValueError``.  Kept only because existing configs name it (the
+    #: layered benchmark's oracle config sets "heap"); see ROADMAP.md.
     kernel: str = "batched"
 
 
@@ -158,12 +151,6 @@ class SimSystem:
             raise ValueError(f"unknown kernel {kernel!r}; "
                              f"known: ('heap', 'batched')")
         self.engine = Engine()
-        # The kernel picks only the core class: the batched core replays
-        # the trace's prefix columns with an inlined L1 and hands every
-        # miss to its port, so both contract modes assemble it.  The
-        # engine, LLC, memory controller and DRAM device are the same
-        # under both kernels.
-        batched = kernel == "batched"
         #: per-system request-id source: ids always start at 0 for a new
         #: system, so back-to-back systems in one process are bit-identical
         self.request_ids = RequestIdAllocator()
@@ -217,11 +204,10 @@ class SimSystem:
                     req_ids=self.request_ids)
             elif self.config.core_model == "simple":
                 mlp = self._mlp_for(trace, core_id, mlps)
-                core_cls = BatchedCoreModel if batched else CoreModel
-                core = core_cls(core_id, self.engine, trace, l1,
-                                port, self.stats.cores[core_id], mlp=mlp,
-                                line_bytes=self.config.line_bytes,
-                                req_ids=self.request_ids)
+                core = CoreModel(core_id, self.engine, trace, l1,
+                                 port, self.stats.cores[core_id], mlp=mlp,
+                                 line_bytes=self.config.line_bytes,
+                                 req_ids=self.request_ids)
             else:
                 raise ValueError(
                     f"unknown core model {self.config.core_model!r}")
@@ -367,20 +353,12 @@ class SimSystem:
     def outstanding_caps(self) -> List[int]:
         """Per-core cap on concurrently outstanding demand misses.
 
-        The MSHR-style bound of each core model: ``mlp`` for the simple
-        model, ``mshrs`` for the window model.  This is the structural
+        The MSHR-style bound of each core model, its ``mlp`` (the window
+        model answers with its ``mshrs``).  This is the structural
         term of the analytic backlog bounds -- a core can never have more
         demand requests below its L1 than it has miss slots.
         """
-        caps = []
-        for core in self.cores:
-            cap = getattr(core, "mlp", None)
-            if cap is None:
-                cap = getattr(core, "mshrs", None)
-            if cap is None:
-                cap = self.config.mshrs
-            caps.append(cap)
-        return caps
+        return [core.mlp for core in self.cores]
 
     # ------------------------------------------------------------------
     # derived results

@@ -8,10 +8,10 @@ Two halves (DESIGN.md section 13):
   simulation via :class:`BoundChecker` (raising structured, picklable
   :class:`BoundViolation` errors through the contracts observer hook).
 * :mod:`repro.validate.properties` generates seeded random scenarios
-  and checks differential properties across them -- kernel equivalence,
-  checkpoint-resume, id-relabeling invariance, credit monotonicity,
-  bounds-hold, and the closed-form shaper release time against a
-  probe-walk oracle -- with shrinking of failures to minimal horizons.
+  and checks differential properties across them -- checkpoint-resume,
+  id-relabeling invariance, credit monotonicity, bounds-hold, and the
+  closed-form shaper release time against a probe-walk oracle -- with
+  shrinking of failures to minimal horizons.
 
 ``python -m repro.validate --scenarios N --seed S`` runs the harness
 from the command line (see :mod:`repro.validate.__main__`).

@@ -28,8 +28,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.validate",
         description="Property-based differential fuzzer for the MITTS "
-                    "simulator: analytic bounds, kernel equivalence, "
-                    "checkpoint-resume, id-relabeling, monotonicity, "
+                    "simulator: analytic bounds, checkpoint-resume, "
+                    "id-relabeling, monotonicity, "
                     "closed-form shaper release time.")
     parser.add_argument("--scenarios", type=int, default=25,
                         help="number of random scenarios (default 25)")

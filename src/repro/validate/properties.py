@@ -8,10 +8,6 @@ in a CI job.  Against each scenario the harness checks properties that
 must hold for *every* point of the configuration space, not just the
 golden-pinned ones:
 
-``kernels``
-    The heap and batched event kernels produce identical full stats
-    snapshots (the per-scenario generalisation of the golden-fingerprint
-    suite's fixed configurations).
 ``checkpoint``
     Checkpointing at the halfway cycle and resuming reproduces the
     uninterrupted run exactly -- with the analytic bound checker attached,
@@ -190,7 +186,7 @@ def generate_scenario(master_seed: int, index: int) -> Scenario:
 # system assembly
 
 
-def build_system(scenario: Scenario, kernel: str = "batched", *,
+def build_system(scenario: Scenario, *,
                  system_config: Optional[SystemConfig] = None,
                  period: Optional[int] = None,
                  with_checker: bool = True,
@@ -217,8 +213,7 @@ def build_system(scenario: Scenario, kernel: str = "batched", *,
             else SCALED_MULTI_CONFIG)
     if system_config is not None:
         base = system_config
-    system = SimSystem(traces, config=replace(base, kernel=kernel),
-                       limiters=limiters)
+    system = SimSystem(traces, config=base, limiters=limiters)
     for _ in range(advance_ids):
         system.request_ids()
     checker = None
@@ -245,24 +240,13 @@ def _snapshot_diff(a: Dict, b: Dict) -> str:
 # the properties
 
 
-def prop_kernels(scenario: Scenario) -> None:
-    """Heap and batched kernels agree on the full stats snapshot."""
-    heap, _ = build_system(scenario, kernel="heap")
-    batched, _ = build_system(scenario, kernel="batched")
-    heap.run(scenario.cycles)
-    batched.run(scenario.cycles)
-    a, b = heap.stats.snapshot(), batched.stats.snapshot()
-    if a != b:
-        raise PropertyFailure("kernels", scenario, _snapshot_diff(a, b))
-
-
 def prop_checkpoint(scenario: Scenario) -> None:
     """Halfway checkpoint + resume reproduces the uninterrupted run."""
-    reference, _ = build_system(scenario, kernel="batched")
+    reference, _ = build_system(scenario)
     reference.run(scenario.cycles)
 
     half = max(1, scenario.cycles // 2)
-    first, _ = build_system(scenario, kernel="batched")
+    first, _ = build_system(scenario)
     first.run(half)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "halfway.ckpt"
@@ -284,9 +268,8 @@ def prop_relabel(scenario: Scenario) -> None:
     """Uniformly shifting request ids never changes the snapshot."""
     rng = random.Random(scenario.master_seed * 104_729 + scenario.index)
     shift = rng.randint(1, 997)
-    plain, _ = build_system(scenario, kernel="batched")
-    shifted, _ = build_system(scenario, kernel="batched",
-                              advance_ids=shift)
+    plain, _ = build_system(scenario)
+    shifted, _ = build_system(scenario, advance_ids=shift)
     plain.run(scenario.cycles)
     shifted.run(scenario.cycles)
     a, b = plain.stats.snapshot(), shifted.stats.snapshot()
@@ -322,8 +305,7 @@ def prop_monotonicity(scenario: Scenario) -> None:
 
     def retired(vector, pinned_period) -> int:
         derived = replace(single, credits=(tuple(vector),))
-        system, _ = build_system(derived, kernel="batched",
-                                 system_config=config,
+        system, _ = build_system(derived, system_config=config,
                                  period=pinned_period)
         system.run(scenario.cycles)
         return system.stats.cores[0].retired
@@ -348,7 +330,7 @@ def prop_bounds(scenario: Scenario) -> None:
     for method in (MittsShaper.METHOD_DEDUCT_REFUND,
                    MittsShaper.METHOD_TIMESTAMP):
         derived = replace(scenario, method=method)
-        system, checker = build_system(derived, kernel="batched")
+        system, checker = build_system(derived)
         system.run(scenario.cycles)  # a violation raises BoundViolation
         if checker.checks["credit"] == 0:
             raise PropertyFailure(
@@ -513,7 +495,6 @@ def prop_shaper_release(scenario: Scenario, cases: int = 120) -> None:
 
 #: name -> property, in reporting order
 PROPERTIES: Dict[str, Callable[[Scenario], None]] = {
-    "kernels": prop_kernels,
     "checkpoint": prop_checkpoint,
     "relabel": prop_relabel,
     "monotonicity": prop_monotonicity,

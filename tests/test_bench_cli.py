@@ -13,7 +13,7 @@ import json
 import pytest
 
 from repro.bench import (QUICK_CYCLES, SCHEMA, compare_to_baseline,
-                         run_benchmarks, verify_kernels)
+                         run_benchmarks)
 from repro.bench.__main__ import main as bench_main
 
 FAST = ["--quick", "--workload", "single", "--repeat", "1"]
@@ -60,21 +60,6 @@ class TestTimingRun:
     def test_rejects_zero_repeats(self):
         with pytest.raises(ValueError, match="repeats must be >= 1"):
             run_benchmarks(quick=True, workload_names=["single"], repeats=0)
-
-
-class TestVerifyKernels:
-    def test_cli_exit_zero_on_agreement(self, capsys):
-        assert bench_main(["--quick", "--workload", "single",
-                           "--verify-kernels"]) == 0
-        assert "[ok]" in capsys.readouterr().out
-
-    def test_report_structure(self):
-        report = verify_kernels(quick=True, workload_names=["single"])
-        assert report["ok"] is True
-        entry = report["workloads"]["single"]
-        assert entry["cycles"] == QUICK_CYCLES
-        assert entry["fingerprints"]["heap"] == \
-            entry["fingerprints"]["batched"]
 
 
 class TestBreakdown:

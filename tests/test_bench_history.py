@@ -53,13 +53,11 @@ class TestRepeatsOverride:
 class TestBreakdownClassification:
     """The --breakdown attribution rules, pinned without profiling."""
 
-    def test_batched_module_is_core(self):
-        # batched.py hosts only the fused core; the LLC lookup and the
-        # controller dispatch it used to copy are attributed by module.
+    def test_core_module_is_core(self):
+        # The core's run loop is attributed to the core; the LLC lookup
+        # and the controller dispatch by their own modules.
         from repro.bench import _classify
-        path = "/x/src/repro/sim/batched.py"
-        assert _classify(path, "_run") == "core"
-        assert _classify(path, "_next_row") == "core"
+        assert _classify("/x/src/repro/sim/core_model.py", "_run") == "core"
         assert _classify("/x/src/repro/sim/llc.py", "lookup") == "llc"
         assert _classify("/x/src/repro/sim/memctrl.py", "_dispatch") \
             == "memctrl+dram"

@@ -10,12 +10,12 @@ tie-break, histogram contents, queue depths -- trips these tests.
 The scenarios cover the three main simulation shapes: the simple core
 model on the FCFS fallback, the instruction-window model under MITTS
 shaping with FR-FCFS, and mix 3 on an explicit FCFS scheduler.  Every
-scenario runs under
-*both* kernels -- the checked heap components and the batched fused
-components, on the same heap engine -- and the suite runs both with and
-without ``REPRO_CONTRACTS=1`` in CI; the fingerprints must be identical
-in all four combinations (contracts observe, never perturb; the fast
-path reorders nothing).
+scenario runs under both accepted values of ``SystemConfig.kernel``,
+which build the same system (the field is inert until the layered
+benchmark stops naming it), and the suite runs with and without
+``REPRO_CONTRACTS=1`` in CI; the fingerprints must be identical in every
+combination (contracts observe, never perturb; the fast path reorders
+nothing).
 
 If a fingerprint changes *intentionally* (a modelling change, not an
 optimisation), re-record it here and say why in the commit message.

@@ -1,14 +1,15 @@
 """Trace work proportional to simulated cycles.
 
 Cores replay a trace by ``(position, wraps)`` over its shared growing
-prefix (:class:`~repro.workloads.trace.TracePrefix`), the batched kernel
-indexes the prefix's columns directly, and every DRAM line is mapped once
-into a shared bounded memo (tested in ``test_dram_mapping.py``).  These
-tests pin that a short run synthesises only a fraction of its traces, that
-chunk edges and wraps replay exactly what the heap kernel does, that
-systems sharing a memo agree, that a checkpoint carries the position but
-not the events, and that a prefix holds nothing per event but its
-columns.
+prefix (:class:`~repro.workloads.trace.TracePrefix`), indexing the
+prefix's columns directly, and every DRAM line is mapped once into a
+shared bounded memo (tested in ``test_dram_mapping.py``).  These tests pin
+that a short run synthesises only a fraction of its traces, that chunk
+edges and wraps replay exactly what the heap kernel did (fingerprints
+recorded at commit 536483f), that systems sharing a memo agree, that a
+checkpoint carries the position but not the events, and that a prefix
+holds nothing per event but its columns.  ``SystemConfig.kernel`` is
+inert; the tests that ran under both of its values still do.
 """
 
 import gc
@@ -16,7 +17,6 @@ from dataclasses import replace
 
 import pytest
 
-from repro.analysis import contracts
 from repro.dram.address_map import coord_memo
 from repro.resilience.checkpoint import load_checkpoint, save_checkpoint
 from repro.sim import soa
@@ -28,6 +28,7 @@ from repro.workloads.mixes import workload_traces
 from repro.workloads.trace import (TRACE_CHUNK, ListTrace, TraceEvent,
                                    TracePrefix, trace_prefix)
 
+#: the two accepted values of the inert ``SystemConfig.kernel`` field
 HEAP = replace(SCALED_MULTI_CONFIG, kernel="heap")
 BATCHED = replace(SCALED_MULTI_CONFIG, kernel="batched")
 
@@ -120,24 +121,29 @@ class TestProportionalWork:
         system = SimSystem(traces, config=config)
         system.run(3_000)
         _assert_proportional(system)
-        if config is BATCHED and not contracts.enabled:
-            assert all(core._works is core._prefix.works
-                       and core._n == len(core._prefix)
-                       for core in system.cores)
+        assert all(core._works is core._prefix.works
+                   for core in system.cores)
 
 
 class TestChunkEdges:
-    @pytest.mark.parametrize("length", [
-        37, TRACE_CHUNK - 1, TRACE_CHUNK, TRACE_CHUNK + 1, 2 * TRACE_CHUNK])
-    def test_wrapping_replay_matches_heap_kernel(self, length):
-        cycles = 40_000
-        name = f"edge-{length}"
-        heap = _snapshot(_traces(name, length, 11), HEAP, cycles)
-        batched = _snapshot(_traces(name, length, 11), BATCHED, cycles)
-        assert all(core.wraps >= 3 for core in heap.cores)
-        assert [core.wraps for core in batched.cores] \
-            == [core.wraps for core in heap.cores]
-        assert batched.stats.snapshot() == heap.stats.snapshot()
+    @pytest.mark.parametrize("length, wraps, pin", [
+        (37, [1_113, 696],
+         "42ca558cd3d8614325fdc45fa87d466e54477777e8bf3785ddda3359405e2079"),
+        (TRACE_CHUNK - 1, [76, 81],
+         "b6c6e9c2eabe0884fb00ee98cac1dd90750c50746db6e809d51ff97bc45553b3"),
+        (TRACE_CHUNK, [89, 86],
+         "8b631b556d2c1ec59366149fc7ee9fc926fb146d75f0e5c4fc3d4c77522b2829"),
+        (TRACE_CHUNK + 1, [82, 92],
+         "20914d28b4cf67fb52d8c16ba5a0af7d0d385171f85e0d89f9ea87c6dc8c95b0"),
+        (2 * TRACE_CHUNK, [22, 24],
+         "7919e772ab0ef833a467c54f45af21da9292e74021ab5b51550508272991c2bd"),
+    ], ids=["37", "127", "128", "129", "256"])
+    def test_wrapping_replay_matches_heap_kernel(self, length, wraps, pin):
+        # Wraps and fingerprint as the heap kernel recorded them.
+        system = _snapshot(_traces(f"edge-{length}", length, 11),
+                           SCALED_MULTI_CONFIG, 40_000)
+        assert [core.wraps for core in system.cores] == wraps
+        assert system.stats.fingerprint() == pin
 
     @pytest.mark.parametrize("config", [HEAP, BATCHED])
     def test_wraps_equal_an_unrolled_trace(self, config):
@@ -177,37 +183,38 @@ class TestSharedMemo:
     def test_systems_sharing_a_memo_agree(self):
         cycles = 30_000
         length = 6 * TRACE_CHUNK
-        first = SimSystem(_traces("shared", length, 21), config=BATCHED)
-        early = SimSystem(_traces("shared", length, 21), config=BATCHED)
+        config = SCALED_MULTI_CONFIG
+        first = SimSystem(_traces("shared", length, 21), config=config)
+        early = SimSystem(_traces("shared", length, 21), config=config)
         first.run(cycles)
         # ``early`` was built before ``first`` grew the shared prefix and
         # picks up the events it added; ``late`` is built after.
-        late = SimSystem(_traces("shared", length, 21), config=BATCHED)
+        late = SimSystem(_traces("shared", length, 21), config=config)
         early.run(cycles)
         late.run(cycles)
-        reference = _snapshot(_traces("shared", length, 21), HEAP, cycles)
+        reference = _snapshot(_traces("shared", length, 21), config, cycles)
         assert len(first.cores[0].trace.prefix()) > TRACE_CHUNK
         for system in (first, early, late):
             assert system.stats.snapshot() == reference.stats.snapshot()
         assert early.cores[0]._prefix is first.cores[0]._prefix
         assert late.cores[0]._prefix is first.cores[0]._prefix
-        if not contracts.enabled:
-            assert early.cores[0]._works is first.cores[0]._prefix.works
+        assert early.cores[0]._works is first.cores[0]._prefix.works
         assert early.dram.mapper._memo is first.dram.mapper._memo
 
     def test_coord_table_is_exactly_the_trace_lines(self):
         trace = _short_trace("coords", 300, seed=8)
-        table = soa.dram_coord_table(trace, BATCHED.timing, "row")
+        table = soa.dram_coord_table(trace, SCALED_MULTI_CONFIG.timing, "row")
         lines = {event.address >> 6 for event in trace}
         assert set(table) == lines
-        memo = coord_memo(BATCHED.timing, "row")
+        memo = coord_memo(SCALED_MULTI_CONFIG.timing, "row")
         assert all(memo.get(line, value) == value
                    for line, value in table.items())
 
 
 class TestCheckpointPosition:
     @pytest.mark.parametrize("config", [
-        HEAP, BATCHED, replace(SCALED_MULTI_CONFIG, core_model="window")])
+        SCALED_MULTI_CONFIG,
+        replace(SCALED_MULTI_CONFIG, core_model="window")])
     def test_restore_after_clearing_memos_continues_exactly(self, tmp_path,
                                                             config):
         cycles = 40_000
@@ -234,8 +241,14 @@ class TestCheckpointPosition:
         system.run(3_000)
         path = tmp_path / "small.ckpt"
         save_checkpoint(system, path)
-        assert b"TraceEvent" not in path.read_bytes()
-        assert b"TracePrefix" not in path.read_bytes()
+        body = path.read_bytes()
+        assert b"TraceEvent" not in body
+        assert b"TracePrefix" not in body
+        # the derived slots: the column bindings and the request-id
+        # counter's bound ``__next__``
+        for slot in (b"_prefix", b"_works", b"_addrs", b"_flags",
+                     b"_next_rid"):
+            assert slot not in body
 
 
 class TestPrefixColumns:
@@ -279,4 +292,4 @@ class TestPrefixColumns:
         with pytest.raises(ValueError, match="trace event 1:"):
             trace_prefix(listed).extend()
         with pytest.raises(ValueError, match="trace event 1:"):
-            SimSystem([listed], config=BATCHED).run(100)
+            SimSystem([listed], config=SCALED_MULTI_CONFIG).run(100)

@@ -1,14 +1,15 @@
-"""Aligned-shaper eligibility and heap-vs-batched equality at ``T_r`` edges.
+"""Aligned-shaper eligibility and pinned runs across ``T_r`` edges.
 
 :meth:`~repro.core.macrotick.MacroTickPump.eligible` classifies a system's
 shapers: phase-aligned method-2 reset shapers share one ``(period,
 next_boundary)``; staggered phases, foreign limiters and unshaped ports do
 not.  Replenishment itself has one path -- the lazy
 :class:`~repro.core.replenish.ResetReplenisher` clock inside every shaper
-decision -- so the equality tests here pin the batched kernel to the heap
-oracle across window boundaries, periodic observers and a mid-run limiter
-swap.  (Plain aligned-shaper equality and the aligned checkpoint
-round-trip live in ``tests/test_batched_kernel.py``.)
+decision -- so the tests here pin runs across window boundaries, periodic
+observers and a mid-run limiter swap to the fingerprints recorded at
+commit 536483f, where the checked heap-kernel core and the fused core
+agreed on them.  (The aligned-shaper pin without an observer and the
+aligned checkpoint round-trip live in ``tests/test_batched_kernel.py``.)
 """
 
 from dataclasses import replace
@@ -25,6 +26,13 @@ CYCLES = 60_000
 CREDITS = [4, 4, 3, 3, 2, 2, 1, 1, 1, 1]
 #: observer period for the boundary-crossing test; longer than ``T_r``
 PERIOD = 5_096
+#: fingerprints recorded at commit 536483f under both kernels: the
+#: aligned-shaper run (a periodic observer does not move it) and the same
+#: run with core 1's shaper swapped out mid-run
+PIN_ALIGNED = \
+    "5dc8766af40e53807c1cfe0ec47901405182adda5ef316458d7378c9c0624971"
+PIN_SWAPPED = \
+    "ce2559e7c7329e5856c72902cbc83a4512abf1e613d0dbabd54d3dd86379d2a2"
 
 
 def _build(kernel: str = "batched", phase_stride: int = 0) -> SimSystem:
@@ -66,41 +74,31 @@ class TestEligibility:
 class TestEquivalence:
     def test_every_crossing_macro_tick_boundaries(self):
         # A periodic observer whose period exceeds T_r: its callbacks
-        # interleave with the shapers' window boundaries and must fire at
-        # exactly the same cycles under both kernels without perturbing
-        # the run.
-        def drive(kernel):
-            system = _build(kernel)
-            assert PERIOD > system.ports[0].limiter.replenisher.period
-            observed = []
-            system.every(PERIOD,
-                         lambda: observed.append(system.engine.now))
-            system.run(CYCLES)
-            return observed, system.stats.snapshot()
-
-        batched_log, batched_snapshot = drive("batched")
-        heap_log, heap_snapshot = drive("heap")
-        assert batched_log \
-            == [(i + 1) * PERIOD for i in range(len(batched_log))]
-        assert len(batched_log) == CYCLES // PERIOD
-        assert batched_log == heap_log
-        assert batched_snapshot == heap_snapshot
+        # interleave with the shapers' window boundaries, fire at exactly
+        # the period's multiples and do not perturb the run.
+        system = _build()
+        assert PERIOD > system.ports[0].limiter.replenisher.period
+        observed = []
+        system.every(PERIOD, lambda: observed.append(system.engine.now))
+        system.run(CYCLES)
+        assert observed == [(i + 1) * PERIOD for i in range(len(observed))]
+        assert len(observed) == CYCLES // PERIOD
+        assert system.stats.fingerprint() == PIN_ALIGNED
 
     def test_limiter_swap_matches_heap_kernel(self):
         # Swapping one port's limiter mid-run (the online tuner's move)
-        # breaks the common boundary; both kernels must agree on the run
-        # that follows.
-        def drive(kernel):
-            system = _build(kernel)
-            swap_at = system.ports[0].limiter.replenisher.period * 3 + 7
+        # breaks the common boundary; the run that follows reproduces the
+        # heap kernel's recorded fingerprint.  Core 1 is the one its
+        # shaper stalls (core 0 never waits on its shaper in this run, so
+        # swapping it would leave the run unchanged).
+        system = _build()
+        swap_at = system.ports[1].limiter.replenisher.period * 3 + 7
 
-            def swap():
-                system.set_limiter(0, NoLimiter())
+        def swap():
+            system.set_limiter(1, NoLimiter())
 
-            system.engine.schedule(swap_at, swap)
-            system.run(CYCLES)
-            return system
-
-        batched = drive("batched")
-        heap = drive("heap")
-        assert batched.stats.snapshot() == heap.stats.snapshot()
+        system.engine.schedule(swap_at, swap)
+        system.run(CYCLES)
+        assert MacroTickPump.eligible(system) is None
+        assert system.stats.cores[1].shaper_stall_cycles > 0
+        assert system.stats.fingerprint() == PIN_SWAPPED

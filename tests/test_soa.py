@@ -1,5 +1,5 @@
 """Unit tests for the derivable per-trace state (prefix columns, DRAM
-coordinates) that the batched kernel replays from."""
+coordinates) that the cores replay from."""
 
 import pytest
 
