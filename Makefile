@@ -6,7 +6,6 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 # `make sweep` knobs
 JOBS ?= 4
 SCALE ?= smoke
-CACHE_DIR ?= .repro-cache
 RESULTS_DIR ?= results
 
 .PHONY: all lint analyze typecheck test test-fast test-contracts \
@@ -95,8 +94,8 @@ chaos-fleet:
 	$(PYTHON) -m repro.fabric fleetcheck --workdir .fabric-fleet \
 		--num-jobs 24 --cycles 1200
 
-## run every experiment in parallel with the result cache on;
-## interrupted sweeps pick up where they left off (same invocation)
+## run every experiment in parallel; a sweep that must survive
+## interruption is `python -m repro.experiments --all --campaign DIR`
 sweep:
 	$(PYTHON) -m repro.experiments --all --jobs $(JOBS) --scale $(SCALE) \
-		--cache-dir $(CACHE_DIR) --save-dir $(RESULTS_DIR)
+		--save-dir $(RESULTS_DIR)

@@ -6,7 +6,7 @@ Usage::
     python -m repro.experiments fig12
     python -m repro.experiments fig12 fig13 --scale small --seed 3
     python -m repro.experiments --all --jobs 4 --save-dir results
-    python -m repro.experiments --all --jobs 4 --resume
+    python -m repro.experiments --all --jobs 4 --campaign runs --save-dir out
     python -m repro.experiments --diff results/before results/after
     python -m repro.experiments --all --campaign runs --campaign-seeds 1 2 3
 
@@ -16,26 +16,28 @@ pool; with a single experiment, it runs in-process and its *inner*
 independent simulations (alone-run measurements, each GA generation's
 population) fan out instead.  Results are assembled by job id, never by
 completion order, so any ``--jobs`` value produces the same output as
-serial.
+serial.  A plain sweep stores nothing: a failed experiment is reported
+on stdout and makes the exit code 1.
 
-``--cache-dir``/``--resume`` enable the content-addressed result cache:
-completed experiments are skipped on re-runs (the key covers experiment
-arguments, seed, scale, and a fingerprint of the source tree, so stale
-results can never be served).  ``--require-cached`` turns "everything
-was a cache hit" into an exit-code assertion for CI.
+A sweep that must survive its process is ``--campaign DIR``: the
+experiments become a :mod:`repro.fabric` campaign, the one durable
+result store.  Running the same command again resumes it (finished jobs
+are not re-run) unless the source tree changed, which makes a new
+campaign.  Its tables and ``--save-dir`` documents are rebuilt from the
+stored results and equal the plain path's; a job without a readable
+result is printed as ``MISSING``, with the ``fabric doctor`` command
+that repairs it.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
 from . import REGISTRY
 from ..metrics.report import format_table
-from ..runner import JobSpec, ResultCache, Runner, RunnerConfig, using_runner
-
-#: cache directory --resume falls back to when --cache-dir is not given
-DEFAULT_CACHE_DIR = ".repro-cache"
+from ..runner import JobSpec, Runner, RunnerConfig, using_runner
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -55,29 +57,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--save-dir", default=None,
                         help="also save each result as JSON into this "
                              "directory")
-    sweep = parser.add_argument_group("parallel execution and caching")
+    sweep = parser.add_argument_group("parallel execution")
     sweep.add_argument("--jobs", type=int, default=1,
                        help="worker processes for the sweep (default: 1, "
                             "fully serial)")
-    sweep.add_argument("--cache-dir", default=None,
-                       help="content-addressed result cache directory; "
-                            "completed experiments are reused on re-runs")
-    sweep.add_argument("--resume", action="store_true",
-                       help="resume a previous sweep from the cache "
-                            f"(implies --cache-dir {DEFAULT_CACHE_DIR} "
-                            "when not given)")
-    sweep.add_argument("--require-cached", action="store_true",
-                       help="exit nonzero unless every experiment was a "
-                            "cache hit (CI resume assertion)")
     sweep.add_argument("--timeout", type=float, default=None,
                        help="per-experiment wall-clock budget in seconds")
     sweep.add_argument("--retries", type=int, default=2,
                        help="retry attempts for failed/timed-out/crashed "
                             "jobs (default: 2; deterministic failures "
                             "are never retried)")
-    sweep.add_argument("--checkpoint-dir", default=None,
-                       help="directory for mid-run simulation checkpoints; "
-                            "retried jobs resume partial work from here")
     sweep.add_argument("--no-progress", action="store_true",
                        help="suppress progress/ETA lines on stderr")
     campaign = parser.add_argument_group("campaign service (repro.fabric)")
@@ -86,11 +75,14 @@ def build_parser() -> argparse.ArgumentParser:
                                "campaign under this queue root: submit, "
                                "help drain (other worker pools may join), "
                                "then render results from the merged "
-                               "database")
+                               "database; re-running the same command "
+                               "resumes the campaign")
     campaign.add_argument("--campaign-seeds", type=int, nargs="+",
                           default=None, metavar="SEED",
                           help="seed axis of the campaign grid "
-                               "(default: just --seed)")
+                               "(default: just --seed; with several seeds "
+                               "the results database is the only store, "
+                               "so --save-dir is refused)")
     campaign.add_argument("--campaign-submit-only", action="store_true",
                           help="submit the campaign and exit; drain it "
                                "with python -m repro.fabric work")
@@ -161,11 +153,14 @@ def run_campaign(args, names) -> int:
     The campaign is durable: killing this process loses nothing (its
     leases lapse and any other ``python -m repro.fabric work`` pool --
     or simply re-running this command -- picks the jobs back up).  The
-    final tables are re-rendered from the results database alone, which
-    is the same path ``python -m repro.fabric query --job`` uses.
+    final tables and ``--save-dir`` documents are rebuilt from the
+    results database alone, so a resumed run prints what a fresh one
+    does.
     """
-    from ..fabric import (CampaignQueue, DbError, ResultsDb,
+    from ..fabric import (RESULT_DONE, CampaignQueue, ResultsDb,
                           figure_manifest, work_campaign)
+    from ..fabric.__main__ import disposition_exit
+    from .store import result_from_dict, save_result
 
     seeds = args.campaign_seeds or [args.seed]
     manifest = figure_manifest(names, scale=args.scale, seeds=seeds,
@@ -186,81 +181,55 @@ def run_campaign(args, names) -> int:
           f"{counters['stolen']} stolen; disposition "
           f"{counters['disposition']}")
 
-    failed = 0
+    holes = 0
     with ResultsDb(f"{args.campaign}/results.sqlite") as db:
         db.merge_queue(queue)
-        _headers, status_rows = db.query(
-            "SELECT job_id, status, error FROM results "
+        _headers, rows = db.query(
+            "SELECT params_json, status, error, value_json, attempts, "
+            "duration FROM jobs LEFT JOIN results "
+            "USING (campaign_id, job_index) "
             "WHERE campaign_id = ? ORDER BY job_index",
             (queue.campaign_id,))
-        for job_id, status, error in status_rows:
-            if status != "done":
-                failed += 1
-                print(f"=== {job_id} FAILED: {error}")
-                print()
-                continue
-            try:
-                headers, rows, title = db.stored_result_rows(
-                    queue.campaign_id, job_id)
-            except DbError as exc:
-                print(f"=== {job_id}: {exc}")
-                print()
-                continue
-            print(f"=== {job_id}")
-            print(format_table(headers, rows, title=title))
+        # The manifest sorts the experiments; print them in the order
+        # given, as the plain path does (stable, so seeds stay ordered).
+        jobs = sorted(((json.loads(params_json), *rest)
+                       for params_json, *rest in rows),
+                      key=lambda job: names.index(job[0]["name"]))
+        for params, status, error, value_json, attempts, duration in jobs:
+            heading = (f"=== {params['name']} ({params['scale']}, "
+                       f"seed {params['seed']})")
+            if status is None:
+                holes += 1
+                print(f"{heading} MISSING: no readable result; repair "
+                      f"with python -m repro.fabric doctor "
+                      f"{args.campaign} --campaign {queue.campaign_id} "
+                      f"--repair, then re-run")
+            elif status != RESULT_DONE:
+                holes += 1
+                print(f"{heading} FAILED: {error}")
+            else:
+                result = result_from_dict(json.loads(value_json))
+                print(heading)
+                print(result.render())
+                if args.save_dir:
+                    save_result(result,
+                                f"{args.save_dir}/{params['name']}.json",
+                                metadata={"scale": params["scale"],
+                                          "seed": params["seed"],
+                                          "elapsed_seconds": duration,
+                                          "attempts": attempts})
             print()
         print(f"results database: {args.campaign}/results.sqlite "
               f"(fingerprint {db.fingerprint(queue.campaign_id)[:16]})")
     # Exit by disposition: 0 complete, 3 complete-degraded (explicit
     # holes in the figures), 4 wedged -- same contract as the fabric CLI.
-    from ..fabric.__main__ import disposition_exit
-    if failed or counters["failed"]:
+    if holes or counters["failed"]:
         return disposition_exit(counters["disposition"]) or 3
     return disposition_exit(counters["disposition"])
 
 
 # ---------------------------------------------------------------------------
 # sweep driver
-
-
-def _write_failure_manifest(save_dir, specs, sweep) -> str:
-    """Persist ``failures.json`` describing every failed job.
-
-    Written next to the saved results (or the working directory) so an
-    orchestrating script can machine-read *which* jobs failed and *why*
-    instead of scraping stdout.  A fully green sweep removes any stale
-    manifest from a previous run.  Returns the path written, or ``""``.
-    """
-    import json
-    import os
-
-    directory = save_dir or "."
-    path = os.path.join(directory, "failures.json")
-    failed = [spec for spec in specs if not sweep[spec.job_id].ok]
-    if not failed:
-        try:
-            os.unlink(path)
-        except OSError:
-            # No stale manifest to clear.
-            return ""
-        return ""
-    manifest = {
-        "total": len(specs),
-        "failed": len(failed),
-        "failures": [
-            {"job_id": spec.job_id,
-             "spec_hash": spec.spec_hash(),
-             "kind": sweep[spec.job_id].failure.kind,
-             "error_type": sweep[spec.job_id].failure.error_type,
-             "message": sweep[spec.job_id].failure.message,
-             "attempts": sweep[spec.job_id].failure.attempts}
-            for spec in failed],
-    }
-    os.makedirs(directory, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(manifest, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return path
 
 
 def main(argv=None) -> int:
@@ -286,16 +255,15 @@ def main(argv=None) -> int:
         parser.error("--jobs must be >= 1")
 
     if args.campaign:
+        if args.save_dir and len(args.campaign_seeds or ()) > 1:
+            parser.error("--save-dir keeps one document per experiment; "
+                         "with several --campaign-seeds the results "
+                         "database is the store")
         return run_campaign(args, names)
 
-    cache_dir = args.cache_dir or (DEFAULT_CACHE_DIR if args.resume
-                                   else None)
-    cache = ResultCache(cache_dir) if cache_dir else None
     runner = Runner(RunnerConfig(jobs=args.jobs, timeout=args.timeout,
                                  retries=args.retries,
-                                 progress=not args.no_progress,
-                                 checkpoint_dir=args.checkpoint_dir),
-                    cache=cache)
+                                 progress=not args.no_progress))
     call_kwargs = tuple(sorted({"scale": args.scale,
                                 "seed": args.seed}.items()))
     specs = [JobSpec(job_id=name, fn="repro.experiments:run_experiment",
@@ -322,8 +290,8 @@ def main(argv=None) -> int:
                   f"{failure.error_type}: {failure.message}")
             print()
             continue
-        source = "cache" if outcome.cached else f"{outcome.duration:.1f}s"
-        print(f"=== {name} ({args.scale}, seed {args.seed}, {source})")
+        print(f"=== {name} ({args.scale}, seed {args.seed}, "
+              f"{outcome.duration:.1f}s)")
         print(outcome.value.render())
         print()
         if args.save_dir:
@@ -332,22 +300,12 @@ def main(argv=None) -> int:
             save_result(outcome.value, f"{args.save_dir}/{name}.json",
                         metadata={"scale": args.scale, "seed": args.seed,
                                   "elapsed_seconds": outcome.duration,
-                                  "cached": outcome.cached,
                                   "attempts": outcome.attempts})
 
-    if cache is not None:
-        print(f"cache hits: {sweep.cache_hits}/{len(names)}")
     failures = sweep.failures
-    manifest_path = _write_failure_manifest(args.save_dir, specs, sweep)
     if failures:
         print(f"{len(failures)} experiment(s) failed: "
               f"{[failure.job_id for failure in failures]}")
-        if manifest_path:
-            print(f"failure manifest written to {manifest_path}")
-        return 1
-    if args.require_cached and sweep.cache_hits < len(names):
-        print(f"--require-cached: only {sweep.cache_hits}/{len(names)} "
-              f"experiments came from the cache")
         return 1
     return 0
 

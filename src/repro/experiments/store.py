@@ -40,7 +40,12 @@ def load_result(path: Union[str, Path]) -> Result:
     version = payload.get("format_version")
     if version != _FORMAT_VERSION:
         raise ValueError(f"unsupported result format {version!r}")
-    raw = payload["result"]
+    return result_from_dict(payload["result"])
+
+
+def result_from_dict(raw: Dict) -> Result:
+    """Rebuild a :class:`Result` from its ``asdict`` form (a saved
+    document's ``result``, or a campaign job's stored ``value_json``)."""
     return Result(experiment=raw["experiment"], title=raw["title"],
                   headers=raw["headers"], rows=raw["rows"],
                   notes=raw["notes"], summary=raw["summary"])

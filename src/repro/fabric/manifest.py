@@ -28,8 +28,8 @@ Expansion order is pinned: grid axes are iterated in **sorted key
 order** (last key fastest, like an odometer), zip rows after the grid,
 in declared row order.  Two parameter conventions are special-cased:
 ``seed`` and ``scale`` values are copied into the spec's first-class
-``seed``/``scale`` fields so the result cache and the database can key
-on them without parsing kwargs.
+``seed``/``scale`` fields so the results database can key on them
+without parsing kwargs.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
+from ..runner.fingerprint import code_fingerprint
 from ..runner.jobspec import JobSpec, content_hash
 
 #: characters of the campaign content hash used as the campaign id
@@ -99,9 +100,14 @@ class Manifest:
 
         Two textually different manifests that normalise to the same
         declaration (reordered keys, JSON vs YAML) share a campaign; any
-        change to the declared work produces a new campaign.
+        change to the declared work, or to the source tree that runs it
+        (:func:`~repro.runner.fingerprint.code_fingerprint`), produces a
+        new campaign, so a re-submit never serves results computed by
+        other code.
         """
-        return content_hash(self.as_dict())[:CAMPAIGN_ID_LENGTH]
+        return content_hash({"manifest": self.as_dict(),
+                             "code": code_fingerprint()}
+                            )[:CAMPAIGN_ID_LENGTH]
 
     def num_jobs(self) -> int:
         total = 1
@@ -129,7 +135,7 @@ class Manifest:
             scale = params.get("scale")
             # Built directly (not via JobSpec.create) because "seed" and
             # "scale" legitimately appear both as call kwargs and as the
-            # spec's first-class cache-key fields.
+            # spec's first-class database-key fields.
             specs.append(JobSpec(
                 job_id=job_id, fn=self.fn,
                 kwargs=tuple(sorted(params.items())),

@@ -77,8 +77,8 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 
 from ..runner import wallclock
 from ..runner.fingerprint import code_fingerprint
-from ..runner.jobspec import JobSpec
-from .manifest import Manifest
+from ..runner.jobspec import JobSpec, content_hash
+from .manifest import CAMPAIGN_ID_LENGTH, Manifest
 from .storage import REAL_STORAGE, Storage
 
 #: seconds a claim stays valid without renewal (workers renew at ~1/3)
@@ -379,8 +379,9 @@ class CampaignQueue:
                storage: Optional[Storage] = None) -> "CampaignQueue":
         """Expand ``manifest`` into a campaign directory.
 
-        Idempotent: the campaign id is content-derived, so re-submitting
-        the same manifest finds the existing campaign (and its results)
+        Idempotent: the campaign id is derived from the manifest and the
+        code fingerprint, so re-submitting the same manifest under the
+        same source tree finds the existing campaign (and its results)
         instead of duplicating work.  ``manifest.json`` is written last,
         as the commit marker -- a half-submitted campaign (killed
         mid-write) has no header and is re-submitted from scratch.
@@ -404,16 +405,16 @@ class CampaignQueue:
                      storage: Optional[Storage] = None) -> "CampaignQueue":
         """Submit pre-built specs (the GA batch path) as a campaign.
 
-        The campaign id derives from the spec hashes, so identical
-        batches dedupe exactly like manifest campaigns.
+        The campaign id derives from the spec hashes and the code
+        fingerprint, so identical batches under identical code dedupe
+        exactly like manifest campaigns.
         """
-        from ..runner.jobspec import content_hash
-
         if not specs:
             raise QueueError("cannot submit an empty campaign")
         campaign_id = content_hash(
             {"name": name,
-             "specs": [spec.spec_hash() for spec in specs]})[:12]
+             "specs": [spec.spec_hash() for spec in specs],
+             "code": code_fingerprint()})[:CAMPAIGN_ID_LENGTH]
         queue = cls(root, campaign_id, storage=storage)
         if queue.is_submitted():
             return queue

@@ -222,7 +222,7 @@ def work_campaign(queue: CampaignQueue,
             runner.config.heartbeat = _LeaseRenewer(queue, held,
                                                     lease_seconds)
             sweep = runner.run([job.spec for job in claimed],
-                               inline=not pool, use_cache=False,
+                               inline=not pool,
                                label=f"fabric:{queue.campaign_id[:8]}")
             for job in claimed:
                 outcome = sweep[job.spec.job_id]

@@ -3,8 +3,8 @@
 Long sweeps toward the ROADMAP's production-scale north star must survive
 two failure families without recomputing from cycle 0:
 
-* **infrastructure faults** (killed workers, timeouts, corrupted cache
-  entries) -- transient, handled by checkpoint/resume
+* **infrastructure faults** (killed workers, timeouts, damaged queue
+  files) -- transient, handled by checkpoint/resume
   (:mod:`repro.resilience.checkpoint`) plus the runner's retry machinery;
 * **degenerate configurations** (zero-credit or otherwise starving MITTS
   genomes) -- deterministic, detected in simulated time by the
@@ -13,12 +13,12 @@ two failure families without recomputing from cycle 0:
   retried.
 
 :mod:`repro.resilience.chaos` is the proof: a seeded fault-injection
-harness that kills workers mid-job, corrupts cache entries, throws at a
-chosen event, and attempts clock skew / duplicate events, asserting the
-recovery path fires for every fault class.  Run it via the tests or
-``python -m repro.resilience --chaos`` (the chaos module imports the
-runner and simulator, so it is loaded lazily -- importing this package
-stays cheap for the simulator core).
+harness that kills workers mid-job, damages campaign queue writes,
+throws at a chosen event, and attempts clock skew / duplicate events,
+asserting the recovery path fires for every fault class.  Run it via
+the tests or ``python -m repro.resilience --chaos`` (the chaos module
+imports the runner and simulator, so it is loaded lazily -- importing
+this package stays cheap for the simulator core).
 """
 
 from .checkpoint import (CHECKPOINT_VERSION, CheckpointError,

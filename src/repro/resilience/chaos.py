@@ -11,9 +11,6 @@ fault class         recovery path proven
 ``worker-kill``     ``os._exit`` mid-job breaks the process pool; the
                     runner charges the in-flight attempt, rebuilds the
                     pool, retries, and the sweep still succeeds
-``cache-corrupt``   a flipped byte in a stored cache entry fails the
-                    integrity digest; the entry is discarded and the
-                    value recomputed, never trusted
 ``event-bomb``      an exception thrown at a chosen simulated cycle kills
                     the run after a periodic checkpoint; resuming from
                     the checkpoint reproduces the undisturbed run
@@ -53,7 +50,7 @@ fault class         recovery path proven
                     completes bit-identically to a serial drain
 ==================  =====================================================
 
-Every fault parameter (kill target, corrupted byte, bomb cycle) is drawn
+Every fault parameter (kill target, bomb cycle, injection seed) is drawn
 from a ``random.Random(seed)``, so a failing chaos run reproduces exactly
 from its seed.  Shipped as a pytest suite (``tests/test_resilience_chaos``)
 and a CLI (``python -m repro.resilience --chaos``).
@@ -70,7 +67,7 @@ from typing import Callable, List
 from ..analysis import contracts
 from ..core.bins import BinConfig
 from ..core.shaper import MittsShaper
-from ..runner import JobSpec, ResultCache, Runner, RunnerConfig
+from ..runner import JobSpec, Runner, RunnerConfig
 from ..sim.engine import Engine
 from ..sim.system import SCALED_MULTI_CONFIG, SimSystem
 from ..workloads.mixes import workload_traces
@@ -207,30 +204,6 @@ def fault_worker_kill(rng: random.Random, workdir: str) -> ChaosOutcome:
     return ChaosOutcome(
         "worker-kill", ok,
         f"victim=kill[{victim}] attempts={attempts} values={values}")
-
-
-def fault_cache_corruption(rng: random.Random, workdir: str) -> ChaosOutcome:
-    """Flip one byte of a stored cache entry; it must be discarded."""
-    cache = ResultCache(os.path.join(workdir, "cache"),
-                        fingerprint="chaos-fixed")
-    spec = JobSpec.create("corrupt", "repro.resilience.chaos:chaos_echo",
-                          1234, seed=rng.randrange(1 << 16))
-    cache.store(spec, 1234)
-    path = cache.entry_path(spec)
-    raw = bytearray(path.read_bytes())
-    offset = rng.randrange(len(raw))
-    raw[offset] ^= 0xFF
-    path.write_bytes(bytes(raw))
-
-    hit = cache.load(spec)
-    discarded = hit is None and cache.stats.corrupt == 1
-    cache.store(spec, 1234)
-    recovered = cache.load(spec)
-    ok = discarded and recovered is not None and recovered.value == 1234
-    return ChaosOutcome(
-        "cache-corrupt", ok,
-        f"flipped byte {offset}/{len(raw)}; discarded={discarded}, "
-        f"recomputed value={getattr(recovered, 'value', None)}")
 
 
 def fault_event_bomb(rng: random.Random, workdir: str) -> ChaosOutcome:
@@ -668,7 +641,6 @@ def fault_fabric_supervisor(rng: random.Random,
 
 FAULTS: List[Callable[[random.Random, str], ChaosOutcome]] = [
     fault_worker_kill,
-    fault_cache_corruption,
     fault_event_bomb,
     fault_clock_skew,
     fault_duplicate_events,

@@ -10,7 +10,7 @@ component, and the golden-fingerprint tests prove a resumed run
 reproduces an uninterrupted one hash-for-hash
 (``tests/test_resilience_checkpoint.py``).
 
-On-disk format (versioned + checksummed, modelled on the result cache)::
+On-disk format (versioned + checksummed)::
 
     repro-checkpoint-v13\n
     <sha256 hex of meta+body>\n

@@ -1,4 +1,4 @@
-"""``repro.runner`` -- parallel, cached, fault-tolerant execution engine.
+"""``repro.runner`` -- parallel, fault-tolerant execution engine.
 
 The reproduction's credibility problem is evaluation count: the paper's
 GA budget is ~600 simulations per optimisation and the experiment suite
@@ -13,19 +13,19 @@ contract:
   worker-crash recovery; results are keyed by job id in submission
   order, never completion order, so ``jobs=N`` assembles bit-identically
   to serial.
-* :class:`ResultCache` -- content-addressed on-disk cache keyed by
-  (spec hash, seed, scale, code fingerprint); re-runs and ``--resume``
-  skip completed work, corrupted entries are discarded and recomputed.
 * :func:`get_runner` / :func:`using_runner` -- the ambient-runner
   context that lets ``experiments/common.py`` and the GA's batch
   evaluator share the CLI's pool.
+
+The runner stores nothing: a sweep that must survive its process is a
+:mod:`repro.fabric` campaign, whose queue is the one result store and
+whose identity covers :func:`code_fingerprint`.
 
 Wall-clock time (timeouts, backoff, ETA) is confined to
 :mod:`repro.runner.wallclock`; nothing wall-clock-derived may flow into
 a result.
 """
 
-from .cache import CacheHit, CacheStats, ResultCache
 from .context import get_runner, set_runner, using_runner
 from .engine import (DETERMINISTIC_LINEAGE, JobFailure, JobOutcome, Runner,
                      RunnerConfig, RunnerError, SweepResult,
@@ -36,14 +36,11 @@ from .jobspec import (JobSpec, SpecError, callable_path, content_hash,
 from .wallclock import JobTimeoutError
 
 __all__ = [
-    "CacheHit",
-    "CacheStats",
     "DETERMINISTIC_LINEAGE",
     "JobFailure",
     "JobOutcome",
     "JobSpec",
     "JobTimeoutError",
-    "ResultCache",
     "Runner",
     "RunnerConfig",
     "RunnerError",

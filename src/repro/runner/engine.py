@@ -1,4 +1,4 @@
-"""The parallel, cached, fault-tolerant execution engine.
+"""The parallel, fault-tolerant execution engine.
 
 ``Runner.run`` takes a list of :class:`~repro.runner.jobspec.JobSpec` and
 returns a :class:`SweepResult` whose outcomes are keyed by ``job_id`` in
@@ -21,9 +21,9 @@ Fault model:
   ``jobs`` wide -- queued jobs are never charged), rebuilds the pool, and
   carries on.
 
-The cache (when configured) is consulted before any process is spawned
-and populated after every success, which is what makes ``--resume``
-free and killed sweeps recoverable.
+The engine keeps no results beyond the returned sweep; durable,
+resumable sweeps are :mod:`repro.fabric` campaigns, which execute their
+claimed jobs through this engine.
 """
 
 from __future__ import annotations
@@ -33,13 +33,12 @@ import os
 from collections import OrderedDict, deque
 from concurrent import futures
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 
 from ..resilience.checkpoint import checkpoint_scope, discard_checkpoint
 from ..resilience.watchdog import StarvationError
 from . import wallclock
-from .cache import ResultCache
 from .jobspec import JobSpec, SpecError, callable_path
 from .progress import ProgressReporter
 from .worker import (STATUS_OK, STATUS_TIMEOUT, describe_exception,
@@ -130,9 +129,8 @@ class JobOutcome:
     value: Any = None
     failure: Optional[JobFailure] = None
     attempts: int = 0
-    cached: bool = False
-    #: wall-clock seconds of the successful attempt (0.0 for cache hits);
-    #: presentation only -- never part of a result
+    #: wall-clock seconds of the successful attempt; presentation only --
+    #: never part of a result
     duration: float = 0.0
 
     @property
@@ -160,10 +158,6 @@ class SweepResult:
         return [outcome.failure for outcome in self.outcomes.values()
                 if outcome.failure is not None]
 
-    @property
-    def cache_hits(self) -> int:
-        return sum(1 for outcome in self.outcomes.values() if outcome.cached)
-
     def values(self) -> List[Any]:
         """Successful values in submission order; raises on any failure."""
         failures = self.failures
@@ -189,7 +183,8 @@ class RunnerConfig:
     #: directory for per-job checkpoints (None = checkpointing off);
     #: jobs that run via repro.resilience.checkpoint.run_with_checkpoints
     #: save partial work here and *resume* it when retried after a
-    #: worker death or timeout
+    #: worker death or timeout (the fabric points it at a campaign's
+    #: ``checkpoints/`` directory)
     checkpoint_dir: Optional[str] = None
     #: called with the sorted in-flight job ids on every pool wait tick
     #: (and once per inline attempt); the fabric queue uses this to renew
@@ -211,7 +206,6 @@ class _Pending:
     """Book-keeping for one not-yet-terminal job."""
 
     spec: JobSpec
-    index: int
     attempts: int = 0
     ready_at: float = 0.0
 
@@ -221,10 +215,8 @@ class Runner:
     across sweeps; ``close()`` (or ``with``-block exit) tears the pool
     down."""
 
-    def __init__(self, config: Optional[RunnerConfig] = None,
-                 cache: Optional[ResultCache] = None) -> None:
+    def __init__(self, config: Optional[RunnerConfig] = None) -> None:
         self.config = config or RunnerConfig()
-        self.cache = cache
         self._executor: Optional[futures.ProcessPoolExecutor] = None
 
     # ------------------------------------------------------------------
@@ -248,14 +240,14 @@ class Runner:
     # public entry points
 
     def run(self, specs: Sequence[JobSpec], inline: Optional[bool] = None,
-            use_cache: bool = True, label: str = "sweep") -> SweepResult:
+            label: str = "sweep") -> SweepResult:
         """Execute ``specs``; see the module docstring for semantics.
 
         ``inline`` is a tri-state: ``None`` (default) picks the pool when
         ``jobs > 1`` and runs in-process otherwise; ``True`` forces
-        in-process execution (still cached, still retried, failures still
-        structured) -- used when the caller wants the pool available for
-        the jobs' own inner fan-outs; ``False`` forces the pool even with
+        in-process execution (still retried, failures still
+        structured) -- used when the caller wants the pool available
+        for the jobs' own inner fan-outs; ``False`` forces the pool even with
         ``jobs == 1`` -- used by the fabric worker so a single-slot pool
         still gets SIGALRM timeouts and survives ``kill -9`` of a job.
         Inline jobs do not enforce timeouts: interrupting the driver's
@@ -274,42 +266,31 @@ class Runner:
                                     enabled=self.config.progress,
                                     jobs=self.config.jobs)
 
-        pending: List[_Pending] = []
-        for index, spec in enumerate(specs):
-            hit = self.cache.load(spec) if (self.cache is not None
-                                            and use_cache) else None
-            if hit is not None:
-                outcome = outcomes[spec.job_id]
-                outcome.value = hit.value
-                outcome.cached = True
-                reporter.job_done(cached=True)
-            else:
-                pending.append(_Pending(spec=spec, index=index))
-
+        pending = [_Pending(spec=spec) for spec in specs]
         if pending:
             use_inline = inline if inline is not None else not self.parallel
             if use_inline:
-                self._run_inline(pending, outcomes, reporter, use_cache)
+                self._run_inline(pending, outcomes, reporter)
             else:
-                self._run_pool(pending, outcomes, reporter, use_cache)
+                self._run_pool(pending, outcomes, reporter)
         return SweepResult(outcomes=outcomes)
 
     def map(self, fn, argument_tuples: Iterable[tuple],
-            label: str = "map", use_cache: bool = False) -> List[Any]:
+            label: str = "map") -> List[Any]:
         """Apply one callable to many argument tuples; values in input
         order.  Any job failing after retries raises :class:`RunnerError`
         (a partial map is useless to numeric callers)."""
         path = fn if isinstance(fn, str) else callable_path(fn)
         specs = [JobSpec.create(f"{label}[{index}]", path, *arguments)
                  for index, arguments in enumerate(argument_tuples)]
-        return self.run(specs, use_cache=use_cache, label=label).values()
+        return self.run(specs, label=label).values()
 
     # ------------------------------------------------------------------
     # serial/inline execution
 
     def _run_inline(self, pending: List[_Pending],
                     outcomes: Dict[str, JobOutcome],
-                    reporter: ProgressReporter, use_cache: bool) -> None:
+                    reporter: ProgressReporter) -> None:
         for item in pending:
             spec = item.spec
             retries = self._retries_for(spec)
@@ -334,8 +315,7 @@ class Runner:
                 discard_checkpoint(checkpoint)
                 self._record_success(outcomes[spec.job_id], value,
                                      item.attempts,
-                                     wallclock.now() - started,
-                                     spec, use_cache, reporter)
+                                     wallclock.now() - started, reporter)
                 break
 
     # ------------------------------------------------------------------
@@ -355,7 +335,7 @@ class Runner:
 
     def _run_pool(self, pending: List[_Pending],
                   outcomes: Dict[str, JobOutcome],
-                  reporter: ProgressReporter, use_cache: bool) -> None:
+                  reporter: ProgressReporter) -> None:
         # Windowed submission: at most `jobs` futures in flight.  Keeps
         # the in-flight set equal to the (approximately) *running* set so
         # a pool crash charges attempts only where the evidence is.
@@ -400,8 +380,7 @@ class Runner:
                 item = in_flight.pop(future)
                 duration = wallclock.now() - started_at.pop(future)
                 pool_broken |= self._consume_future(
-                    future, item, duration, outcomes, waiting, reporter,
-                    use_cache)
+                    future, item, duration, outcomes, waiting, reporter)
             if pool_broken:
                 # Every other in-flight future is dead too; drain them
                 # all (the ones that finished before the break still
@@ -410,14 +389,13 @@ class Runner:
                     del in_flight[future]
                     duration = wallclock.now() - started_at.pop(future)
                     self._consume_future(future, item, duration, outcomes,
-                                         waiting, reporter, use_cache)
+                                         waiting, reporter)
                 self._rebuild_executor()
 
     def _consume_future(self, future: futures.Future, item: _Pending,
                         duration: float, outcomes: Dict[str, JobOutcome],
                         waiting: List[_Pending],
-                        reporter: ProgressReporter,
-                        use_cache: bool) -> bool:
+                        reporter: ProgressReporter) -> bool:
         """Fold one finished future into the sweep state.
 
         Returns True when the future revealed a broken pool (the caller
@@ -451,7 +429,7 @@ class Runner:
             return False
         if status == STATUS_OK:
             self._record_success(outcomes[job_id], data, item.attempts,
-                                 duration, item.spec, use_cache, reporter)
+                                 duration, reporter)
         else:
             kind = "timeout" if status == STATUS_TIMEOUT else "error"
             self._handle_retryable(item, kind, data, outcomes, waiting,
@@ -519,15 +497,13 @@ class Runner:
         self._record_failure(outcomes[item.spec.job_id], kind, info,
                              item.attempts, reporter)
 
-    def _record_success(self, outcome: JobOutcome, value: Any,
-                        attempts: int, duration: float, spec: JobSpec,
-                        use_cache: bool,
+    @staticmethod
+    def _record_success(outcome: JobOutcome, value: Any, attempts: int,
+                        duration: float,
                         reporter: ProgressReporter) -> None:
         outcome.value = value
         outcome.attempts = attempts
         outcome.duration = duration
-        if self.cache is not None and use_cache:
-            self.cache.store(spec, value)
         reporter.job_done(duration=duration)
 
     @staticmethod

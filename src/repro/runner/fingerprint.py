@@ -1,11 +1,13 @@
-"""Code fingerprinting for the result cache.
+"""Code fingerprinting for campaign identity.
 
-A cached result is only valid for the code that produced it.  The
+A stored result is only valid for the code that produced it.  The
 fingerprint is a SHA-256 over the (path, content-hash) pairs of every
-``*.py`` file in the installed ``repro`` package, so *any* source change
--- simulator, scheduler, experiment driver -- invalidates every cached
-entry.  That is deliberately coarse: correctness beats cache longevity,
-and a full re-run repopulates the cache anyway.
+``*.py`` file in the installed ``repro`` package.  A fabric campaign's
+id covers it (:meth:`repro.fabric.manifest.Manifest.campaign_id`,
+:meth:`repro.fabric.queue.CampaignQueue.submit_specs`), so *any* source
+change -- simulator, scheduler, experiment driver -- makes a re-run
+submit a new campaign instead of resuming the old one's results.  That
+is deliberately coarse: correctness beats result longevity.
 """
 
 from __future__ import annotations

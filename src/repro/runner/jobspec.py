@@ -120,8 +120,8 @@ class JobSpec:
     """One independent unit of work for the runner.
 
     ``seed`` and ``scale`` are first-class fields (not buried in kwargs)
-    because they are the two knobs every sweep varies and the cache key
-    must distinguish; they are informational here -- the callable still
+    because they are the two knobs every sweep varies and the results
+    database keys on; they are informational here -- the callable still
     receives them through ``args``/``kwargs`` like any other argument.
     """
 

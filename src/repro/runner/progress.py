@@ -2,7 +2,7 @@
 
 Reports to ``stderr`` so stdout stays clean for experiment tables and
 JSON.  The ETA is a deliberately simple estimate -- mean wall-clock per
-*computed* job, scaled by remaining jobs over worker count -- which is
+finished job, scaled by remaining jobs over worker count -- which is
 accurate for the homogeneous fan-outs the runner executes (same
 experiment at the same scale, or one GA generation's genomes).
 
@@ -32,10 +32,8 @@ class ProgressReporter:
     stream: Optional[object] = None
 
     done: int = field(default=0, init=False)
-    cached: int = field(default=0, init=False)
     failed: int = field(default=0, init=False)
-    _computed_seconds: float = field(default=0.0, init=False)
-    _computed_jobs: int = field(default=0, init=False)
+    _seconds: float = field(default=0.0, init=False)
     _started: float = field(default=0.0, init=False)
     _last_print: float = field(default=0.0, init=False)
 
@@ -44,38 +42,29 @@ class ProgressReporter:
 
     # ------------------------------------------------------------------
 
-    def job_done(self, cached: bool = False, failed: bool = False,
-                 duration: float = 0.0) -> None:
+    def job_done(self, failed: bool = False, duration: float = 0.0) -> None:
         """Record one finished job and maybe print a progress line."""
         self.done += 1
-        if cached:
-            self.cached += 1
-        elif failed:
+        if failed:
             self.failed += 1
-        if not cached:
-            self._computed_seconds += max(duration, 0.0)
-            self._computed_jobs += 1
+        self._seconds += max(duration, 0.0)
         self._maybe_print(final=self.done >= self.total)
 
     def eta_seconds(self) -> Optional[float]:
         """Estimated seconds to completion, or None when unknowable.
 
         Guarded against every degenerate shape a sweep can take: an
-        empty or finished sweep is 0.0; no *computed* jobs yet (all
-        cache hits so far, or nothing finished) is None, not a division
-        by zero; an observed rate of zero seconds/job (timer resolution,
-        all-instant jobs) is also None -- extrapolating a zero rate
-        would promise eta 0 for work that has not run.
+        empty or finished sweep is 0.0; nothing finished yet, or an
+        observed total of zero seconds (timer resolution, all-instant
+        jobs), is None -- not a division by zero, and not an eta of 0
+        extrapolated for work that has not run.
         """
         remaining = self.total - self.done
         if remaining <= 0:
             return 0.0
-        if self._computed_jobs <= 0:
+        if self._seconds <= 0.0:
             return None
-        mean = self._computed_seconds / self._computed_jobs
-        if mean <= 0.0:
-            return None
-        return mean * remaining / max(1, self.jobs)
+        return self._seconds / self.done * remaining / max(1, self.jobs)
 
     # ------------------------------------------------------------------
 
@@ -88,12 +77,7 @@ class ProgressReporter:
         self._last_print = now
         eta = self.eta_seconds()
         eta_text = "" if eta is None else f", eta {_format_seconds(eta)}"
-        extras = []
-        if self.cached:
-            extras.append(f"{self.cached} cached")
-        if self.failed:
-            extras.append(f"{self.failed} failed")
-        extra_text = f" ({', '.join(extras)})" if extras else ""
+        extra_text = f" ({self.failed} failed)" if self.failed else ""
         stream = self.stream if self.stream is not None else sys.stderr
         print(f"[{self.label}] {self.done}/{self.total} done"
               f"{extra_text}{eta_text}", file=stream, flush=True)

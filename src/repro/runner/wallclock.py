@@ -9,7 +9,7 @@ through this module so the exemption is one grep-able, pragma'd place
 instead of being scattered through the runner.
 
 Nothing returned from these helpers may ever flow into a simulation or a
-cached result value.
+stored result value.
 """
 
 from __future__ import annotations

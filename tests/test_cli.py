@@ -1,5 +1,8 @@
 """Tests for the ``python -m repro.experiments`` command-line interface."""
 
+import json
+import re
+
 import pytest
 
 from repro.experiments.__main__ import main
@@ -83,7 +86,7 @@ class TestReconfigureApi:
 
 
 class TestSweepFlags:
-    """--jobs / --cache-dir / --resume / --require-cached."""
+    """--jobs: a plain sweep, which stores nothing."""
 
     def test_jobs_flag_smoke(self, capsys):
         assert main(["hw_cost", "--jobs", "2", "--no-progress"]) == 0
@@ -93,32 +96,28 @@ class TestSweepFlags:
         with pytest.raises(SystemExit):
             main(["hw_cost", "--jobs", "0"])
 
-    def test_resume_reports_full_cache_hits(self, tmp_path, capsys):
-        cache_dir = str(tmp_path / "cache")
-        assert main(["hw_cost", "--cache-dir", cache_dir,
-                     "--no-progress"]) == 0
-        first = capsys.readouterr().out
-        assert "cache hits: 0/1" in first
-        assert main(["hw_cost", "--cache-dir", cache_dir,
-                     "--require-cached", "--no-progress"]) == 0
-        second = capsys.readouterr().out
-        assert "cache hits: 1/1" in second
-        assert "(smoke, seed 1, cache)" in second
+    def test_failure_reported_on_stdout_and_exit_code(self, tmp_path,
+                                                      monkeypatch, capsys):
+        import repro.experiments as experiments
 
-    def test_require_cached_fails_on_cold_cache(self, tmp_path, capsys):
-        cache_dir = str(tmp_path / "cold")
-        assert main(["hw_cost", "--cache-dir", cache_dir,
-                     "--require-cached", "--no-progress"]) == 1
-        assert "--require-cached" in capsys.readouterr().out
+        def exploding_experiment(scale="smoke", seed=1):
+            raise ValueError("deliberately broken experiment")
 
-    def test_cache_distinguishes_seed(self, tmp_path, capsys):
-        cache_dir = str(tmp_path / "cache")
-        assert main(["hw_cost", "--cache-dir", cache_dir,
-                     "--no-progress"]) == 0
-        capsys.readouterr()
-        assert main(["hw_cost", "--seed", "2", "--cache-dir", cache_dir,
-                     "--no-progress"]) == 0
-        assert "cache hits: 0/1" in capsys.readouterr().out
+        monkeypatch.setitem(experiments.REGISTRY, "chaos_boom",
+                            exploding_experiment)
+        save_dir = tmp_path / "results"
+        assert main(["chaos_boom", "hw_cost", "--save-dir", str(save_dir),
+                     "--no-progress"]) == 1
+        out = capsys.readouterr().out
+        # ValueError is deterministic: one attempt, no retry.
+        assert ("=== chaos_boom (smoke, seed 1) FAILED: error after 1 "
+                "attempt(s): ValueError: deliberately broken experiment"
+                ) in out
+        assert "1 experiment(s) failed: ['chaos_boom']" in out
+        # The rest of the sweep still ran and saved; nothing else is
+        # written next to the results.
+        assert sorted(path.name for path in save_dir.iterdir()) == [
+            "hw_cost.json"]
 
 
 class TestDiffCommand:
@@ -221,56 +220,89 @@ class TestDiffSymmetry:
         assert "missing" in out  # rendered as a missing-side value
 
 
-class TestCacheFingerprintInterplay:
-    """--resume/--require-cached vs corruption and code changes."""
+def campaign_id(out):
+    return re.search(r"^campaign (\w+):", out, re.MULTILINE).group(1)
 
-    def test_code_fingerprint_change_defeats_resume(self, tmp_path,
-                                                    capsys, monkeypatch):
-        cache_dir = str(tmp_path / "cache")
-        assert main(["hw_cost", "--cache-dir", cache_dir,
-                     "--no-progress"]) == 0
-        capsys.readouterr()
-        # Same cache, same spec -- but the source tree "changed", so a
-        # resume that insists on cache hits must fail loudly rather
-        # than serve results computed by different code.
-        import repro.runner.cache as cache_module
-        monkeypatch.setattr(cache_module, "code_fingerprint",
-                            lambda: "a-different-source-tree")
-        assert main(["hw_cost", "--cache-dir", cache_dir, "--resume",
-                     "--require-cached", "--no-progress"]) == 1
-        out = capsys.readouterr().out
-        assert "cache hits: 0/1" in out
-        assert "--require-cached" in out
-        # the recompute was stored under the NEW fingerprint, so a
-        # plain resume against the changed tree now hits cleanly
-        assert main(["hw_cost", "--cache-dir", cache_dir, "--resume",
-                     "--no-progress"]) == 0
-        assert "cache hits: 1/1" in capsys.readouterr().out
-        # while the original tree's entry is untouched and still hit
-        monkeypatch.undo()
-        assert main(["hw_cost", "--cache-dir", cache_dir, "--resume",
-                     "--require-cached", "--no-progress"]) == 0
-        assert "cache hits: 1/1" in capsys.readouterr().out
+
+def run_campaign(root, capsys, *extra):
+    status = main(["hw_cost", "--campaign", str(root), "--no-progress",
+                   *extra])
+    return status, capsys.readouterr().out
+
+
+class TestCampaign:
+    """--campaign: the one result store, resumed by re-running."""
+
+    def test_live_fingerprint_changes_with_source(self, tmp_path):
+        from repro.runner import code_fingerprint, fingerprint_tree
+
+        (tmp_path / "a.py").write_text("x = 1\n")
+        before = fingerprint_tree(tmp_path)
+        (tmp_path / "a.py").write_text("x = 2\n")
+        assert fingerprint_tree(tmp_path) != before
+        assert len(code_fingerprint()) == 64
+
+    def test_save_dir_refused_with_several_seeds(self, tmp_path):
+        with pytest.raises(SystemExit):
+            main(["hw_cost", "--campaign", str(tmp_path / "camp"),
+                  "--campaign-seeds", "1", "2",
+                  "--save-dir", str(tmp_path / "results")])
+        assert not (tmp_path / "camp").exists()
+
+
+class TestCacheFingerprintInterplay:
+    """Resuming a campaign never serves a result of other code, nor a
+    damaged one."""
+
+    def test_code_fingerprint_change_defeats_resume(self, tmp_path, capsys,
+                                                    monkeypatch):
+        from repro.runner import fingerprint
+
+        root = tmp_path / "camp"
+        status, first = run_campaign(root, capsys)
+        assert status == 0 and "drained: 1 done, 0 failed" in first
+        status, resumed = run_campaign(root, capsys)
+        assert status == 0 and "drained: 0 done, 0 failed" in resumed
+        assert campaign_id(resumed) == campaign_id(first)
+        # Same command, but the source tree "changed": the re-run must
+        # execute the job again, never serve the old code's result.
+        monkeypatch.setattr(fingerprint, "fingerprint_tree",
+                            lambda root: "a-different-source-tree")
+        fingerprint.code_fingerprint.cache_clear()
+        try:
+            status, changed = run_campaign(root, capsys)
+        finally:
+            monkeypatch.undo()
+            fingerprint.code_fingerprint.cache_clear()
+        assert status == 0 and "drained: 1 done, 0 failed" in changed
+        assert campaign_id(changed) != campaign_id(first)
+        stamps = sorted(json.loads(path.read_text())["code_fingerprint"]
+                        for path in root.glob("*/results/*.json"))
+        assert stamps == sorted([fingerprint.code_fingerprint(),
+                                 "a-different-source-tree"])
 
     def test_corrupt_entry_recomputed_then_cached_again(self, tmp_path,
                                                         capsys):
-        cache_dir = tmp_path / "cache"
-        assert main(["hw_cost", "--cache-dir", str(cache_dir),
-                     "--no-progress"]) == 0
+        from repro.fabric.__main__ import main as fabric_main
+
+        root = tmp_path / "camp"
+        assert run_campaign(root, capsys)[0] == 0
+        (result_path,) = root.glob("*/results/*.json")
+        result_path.write_text("{torn", encoding="utf-8")
+        status, damaged = run_campaign(root, capsys)
+        assert status == 3
+        assert "drained: 0 done" in damaged
+        assert "=== hw_cost (smoke, seed 1) MISSING" in damaged
+        assert "core fraction" not in damaged
+        # The line names the repair; running it makes the job runnable.
+        repair = re.search(r"python -m repro\.fabric (doctor .*--repair)",
+                           damaged).group(1).split()
+        assert fabric_main(repair) == 1  # one finding, repaired
         capsys.readouterr()
-        entries = list(cache_dir.rglob("*.pkl"))
-        assert len(entries) == 1
-        raw = bytearray(entries[0].read_bytes())
-        raw[len(raw) // 2] ^= 0xFF
-        entries[0].write_bytes(bytes(raw))
-        # The corrupted entry is discarded, so --require-cached fails...
-        assert main(["hw_cost", "--cache-dir", str(cache_dir),
-                     "--resume", "--require-cached",
-                     "--no-progress"]) == 1
-        assert "cache hits: 0/1" in capsys.readouterr().out
-        # ...and that recovery run re-stored a good entry: the next
-        # resume is a clean hit again.
-        assert main(["hw_cost", "--cache-dir", str(cache_dir),
-                     "--resume", "--require-cached",
-                     "--no-progress"]) == 0
-        assert "cache hits: 1/1" in capsys.readouterr().out
+        status, repaired = run_campaign(root, capsys)
+        assert status == 0
+        assert "drained: 1 done, 0 failed" in repaired
+        assert "MISSING" not in repaired
+        assert "core fraction" in repaired
+        status, cached = run_campaign(root, capsys)
+        assert status == 0 and "drained: 0 done, 0 failed" in cached

@@ -1,13 +1,17 @@
-"""Unit tests for ``repro.runner``: specs, cache, engine, fault model."""
+"""Unit tests for ``repro.runner``: specs, result store, engine, fault
+model."""
 
+import json
 import pickle
 
 import pytest
 
-from repro.runner import (JobSpec, ResultCache, Runner, RunnerConfig,
-                          RunnerError, SpecError, callable_path,
-                          code_fingerprint, content_hash, resolve_callable,
-                          using_runner)
+from repro.fabric.doctor import diagnose
+from repro.fabric.queue import CampaignQueue
+from repro.fabric.service import work_campaign
+from repro.runner import (JobSpec, Runner, RunnerConfig, RunnerError,
+                          SpecError, callable_path, content_hash,
+                          fingerprint, resolve_callable, using_runner)
 
 from tests import _runner_jobs
 
@@ -15,12 +19,10 @@ ADD_ONE = "tests._runner_jobs:add_one"
 ECHO = "tests._runner_jobs:echo"
 
 
-def make_runner(tmp_path=None, **overrides):
+def make_runner(**overrides):
     defaults = dict(jobs=2, retries=1, backoff=0.01)
     defaults.update(overrides)
-    cache = ResultCache(tmp_path, fingerprint="test") \
-        if tmp_path is not None else None
-    return Runner(RunnerConfig(**defaults), cache=cache)
+    return Runner(RunnerConfig(**defaults))
 
 
 # ----------------------------------------------------------------------
@@ -84,10 +86,18 @@ class TestJobSpec:
 
 
 # ----------------------------------------------------------------------
-# cache
+# result store: the runner keeps none; the campaign queue is the store
+
+
+def stored_values(queue):
+    return [json.loads(queue.load_result(index)["value_json"])
+            for index in queue.job_indices()]
 
 
 class TestResultCache:
+    """A campaign result is served only to the same spec under the same
+    source tree, and a damaged one is never served."""
+
     def spec(self, **overrides):
         fields = dict(job_id="j", fn=ADD_ONE, args=(1,), seed=1,
                       scale="smoke")
@@ -95,65 +105,63 @@ class TestResultCache:
         return JobSpec.create(fields.pop("job_id"), fields.pop("fn"),
                               *fields.pop("args"), **fields)
 
-    def test_round_trip(self, tmp_path):
-        cache = ResultCache(tmp_path, fingerprint="f")
-        spec = self.spec()
-        assert cache.load(spec) is None
-        cache.store(spec, {"answer": 42})
-        hit = cache.load(spec)
-        assert hit is not None and hit.value == {"answer": 42}
-        assert cache.stats.hits == 1 and cache.stats.misses == 1
+    def submit(self, root, **overrides):
+        return CampaignQueue.submit_specs(root, "store",
+                                          [self.spec(**overrides)])
 
-    def test_none_value_is_a_hit(self, tmp_path):
-        cache = ResultCache(tmp_path, fingerprint="f")
-        spec = self.spec()
-        cache.store(spec, None)
-        hit = cache.load(spec)
-        assert hit is not None and hit.value is None
-
-    def test_miss_on_changed_seed_scale_and_fingerprint(self, tmp_path):
-        cache = ResultCache(tmp_path, fingerprint="f")
-        spec = self.spec()
-        cache.store(spec, 1)
-        assert cache.load(self.spec(seed=2)) is None
-        assert cache.load(self.spec(scale="paper")) is None
-        other_code = ResultCache(tmp_path, fingerprint="g")
-        assert other_code.load(spec) is None
+    def test_miss_on_changed_seed_scale_and_fingerprint(self, tmp_path,
+                                                        monkeypatch):
+        queue = self.submit(tmp_path)
+        work_campaign(queue, pool=False)
+        assert self.submit(tmp_path).is_drained()
+        assert not self.submit(tmp_path, seed=2).is_drained()
+        assert not self.submit(tmp_path, scale="paper").is_drained()
+        monkeypatch.setattr(fingerprint, "fingerprint_tree",
+                            lambda root: "a-different-source-tree")
+        fingerprint.code_fingerprint.cache_clear()
+        try:
+            other_code = self.submit(tmp_path)
+        finally:
+            monkeypatch.undo()
+            fingerprint.code_fingerprint.cache_clear()
+        assert other_code.campaign_id != queue.campaign_id
+        assert not other_code.is_drained()
         # and the original still hits
-        assert cache.load(spec).value == 1
+        again = self.submit(tmp_path)
+        assert again.campaign_id == queue.campaign_id
+        assert stored_values(again) == [2]
 
     def test_corrupted_entry_discarded_not_fatal(self, tmp_path):
-        cache = ResultCache(tmp_path, fingerprint="f")
-        spec = self.spec()
-        path = cache.store(spec, "precious")
-        path.write_bytes(path.read_bytes()[:20])  # truncate mid-payload
-        assert cache.load(spec) is None
-        assert cache.stats.corrupt == 1
+        queue = self.submit(tmp_path)
+        work_campaign(queue, pool=False)
+        path = queue.result_path(0)
+        path.write_bytes(path.read_bytes()[:20])  # truncate mid-document
+        again = self.submit(tmp_path)
+        assert again.load_result(0) is None
+        assert again.corruption.by_category == {"result": 1}
+        report = diagnose(again, repair=True)
+        assert report["by_category"] == {"damaged-result": 1}
         assert not path.exists()  # evidence-free garbage is removed
-        cache.store(spec, "precious")
-        assert cache.load(spec).value == "precious"
+        assert work_campaign(again, pool=False)["done"] == 1
+        assert stored_values(again) == [2]
 
-    def test_garbage_entry_discarded(self, tmp_path):
-        cache = ResultCache(tmp_path, fingerprint="f")
-        spec = self.spec()
-        path = cache.store(spec, "x")
-        path.write_bytes(b"not a cache entry at all")
-        assert cache.load(spec) is None
-        assert cache.stats.corrupt == 1
 
-    def test_unpicklable_value_skipped_gracefully(self, tmp_path):
-        cache = ResultCache(tmp_path, fingerprint="f")
-        assert cache.store(self.spec(), lambda: None) is None
-        assert cache.load(self.spec()) is None
+class TestRunnerCache:
+    """Re-running a campaign executes only the jobs without a result."""
 
-    def test_live_fingerprint_changes_with_source(self, tmp_path):
-        from repro.runner import fingerprint_tree
-
-        (tmp_path / "a.py").write_text("x = 1\n")
-        before = fingerprint_tree(tmp_path)
-        (tmp_path / "a.py").write_text("x = 2\n")
-        assert fingerprint_tree(tmp_path) != before
-        assert len(code_fingerprint()) == 64
+    def test_second_sweep_is_all_cache_hits(self, tmp_path):
+        log = tmp_path / "executions.log"
+        specs = [JobSpec.create(f"j{i}", "tests._runner_jobs:record_attempt",
+                                str(log), i, seed=1, scale="smoke")
+                 for i in range(3)]
+        first = CampaignQueue.submit_specs(tmp_path / "camp", "sweep", specs)
+        assert work_campaign(first, pool=False)["executed"] == 3
+        second = CampaignQueue.submit_specs(tmp_path / "camp", "sweep",
+                                            specs)
+        assert second.campaign_id == first.campaign_id
+        assert work_campaign(second, pool=False)["executed"] == 0
+        assert stored_values(second) == stored_values(first) == [0, 1, 2]
+        assert len(log.read_text().splitlines()) == 3  # nothing re-ran
 
 
 # ----------------------------------------------------------------------
@@ -280,61 +288,3 @@ class TestRunnerFaults:
             sweep = runner.run([spec])
         assert sweep["once"].ok and sweep["once"].value == "survived"
         assert sweep["once"].attempts >= 2
-
-
-# ----------------------------------------------------------------------
-# engine + cache: resume semantics
-
-
-class TestRunnerCache:
-    def specs(self, count=3):
-        return [JobSpec.create(f"j{i}", ADD_ONE, i, seed=1, scale="smoke")
-                for i in range(count)]
-
-    def test_second_sweep_is_all_cache_hits(self, tmp_path):
-        with make_runner(tmp_path) as runner:
-            first = runner.run(self.specs())
-        assert first.cache_hits == 0
-        with make_runner(tmp_path) as runner:
-            second = runner.run(self.specs())
-        assert second.cache_hits == 3
-        assert [o.value for o in second] == [o.value for o in first]
-        assert all(o.attempts == 0 for o in second)  # nothing re-ran
-
-    def test_killed_then_resumed_sweep_completes_from_cache(
-            self, tmp_path, monkeypatch):
-        log = tmp_path / "executions.log"
-        cache_dir = tmp_path / "cache"
-        specs = [JobSpec.create(f"j{i}", "tests._runner_jobs:record_attempt",
-                                str(log), i, seed=1, scale="smoke")
-                 for i in range(4)]
-        # "Kill" the sweep after two jobs: run only a prefix, as if the
-        # driver died mid-sweep with two results already persisted.
-        with Runner(RunnerConfig(jobs=1),
-                    cache=ResultCache(cache_dir,
-                                      fingerprint="test")) as runner:
-            runner.run(specs[:2])
-        assert len(log.read_text().splitlines()) == 2
-        # Resume the full sweep: the two finished jobs must come from the
-        # cache (no re-execution), the rest must run.
-        with Runner(RunnerConfig(jobs=2),
-                    cache=ResultCache(cache_dir,
-                                      fingerprint="test")) as runner:
-            sweep = runner.run(specs)
-        assert [o.value for o in sweep] == [0, 1, 2, 3]
-        assert sweep.cache_hits == 2
-        assert len(log.read_text().splitlines()) == 4  # only j2, j3 ran
-
-    def test_failures_are_not_cached(self, tmp_path):
-        spec = JobSpec.create("bad", "tests._runner_jobs:always_fails",
-                              "nope", retries=0)
-        with make_runner(tmp_path) as runner:
-            assert not runner.run([spec])["bad"].ok
-        with make_runner(tmp_path) as runner:
-            second = runner.run([spec])
-        assert second.cache_hits == 0  # failure was retried, not served
-
-    def test_map_bypasses_cache_by_default(self, tmp_path):
-        with make_runner(tmp_path) as runner:
-            runner.map(ADD_ONE, [(1,)])
-            assert runner.cache.stats.stores == 0

@@ -43,6 +43,17 @@ def saved_results(directory: Path) -> dict:
     return payloads
 
 
+def saved_documents(directory: Path) -> dict:
+    """The whole saved documents, minus the wall-clock
+    ``metadata.elapsed_seconds``."""
+    documents = {}
+    for path in sorted(directory.glob("*.json")):
+        document = json.loads(path.read_text(encoding="utf-8"))
+        del document["metadata"]["elapsed_seconds"]
+        documents[path.name] = document
+    return documents
+
+
 class TestCliParallelDeterminism:
     def test_jobs2_bit_identical_to_serial(self, tmp_path):
         serial_dir = tmp_path / "serial"
@@ -69,20 +80,27 @@ class TestCliParallelDeterminism:
                      "--save-dir", str(parallel_dir), "--no-progress"]) == 0
         assert saved_results(serial_dir) == saved_results(parallel_dir)
 
-    def test_resume_serves_identical_results(self, tmp_path):
-        cache_dir = tmp_path / "cache"
+    def test_resume_serves_identical_results(self, tmp_path, capsys):
+        # A --campaign re-run executes nothing, and both campaign runs
+        # save the documents the plain --jobs 2 sweep saves.
+        queue_root = tmp_path / "campaign"
+        plain_dir = tmp_path / "plain"
         first_dir = tmp_path / "first"
         resumed_dir = tmp_path / "resumed"
         assert main(EXPERIMENTS + ["--jobs", "2",
-                                   "--cache-dir", str(cache_dir),
-                                   "--save-dir", str(first_dir),
+                                   "--save-dir", str(plain_dir),
                                    "--no-progress"]) == 0
-        assert main(EXPERIMENTS + ["--jobs", "2",
-                                   "--cache-dir", str(cache_dir),
-                                   "--save-dir", str(resumed_dir),
-                                   "--require-cached",
-                                   "--no-progress"]) == 0
-        assert saved_results(first_dir) == saved_results(resumed_dir)
+        campaign = EXPERIMENTS + ["--jobs", "2",
+                                  "--campaign", str(queue_root),
+                                  "--no-progress"]
+        assert main(campaign + ["--save-dir", str(first_dir)]) == 0
+        assert "drained: 3 done, 0 failed" in capsys.readouterr().out
+        assert main(campaign + ["--save-dir", str(resumed_dir)]) == 0
+        assert "drained: 0 done, 0 failed" in capsys.readouterr().out
+        plain = saved_documents(plain_dir)
+        assert set(plain) == {f"{name}.json" for name in EXPERIMENTS}
+        assert saved_documents(first_dir) == plain
+        assert saved_documents(resumed_dir) == plain
 
 
 class TestGaParallelDeterminism:

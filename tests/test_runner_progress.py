@@ -12,14 +12,6 @@ class TestEtaGuards:
     def test_no_jobs_done_yet_is_unknown(self):
         assert self.make().eta_seconds() is None
 
-    def test_all_cache_hits_is_unknown_not_zero_division(self):
-        reporter = self.make()
-        reporter.job_done(cached=True)
-        reporter.job_done(cached=True)
-        # remaining > 0 but zero *computed* jobs: mean is undefined
-        assert reporter._computed_jobs == 0
-        assert reporter.eta_seconds() is None
-
     def test_zero_observed_rate_is_unknown(self):
         reporter = self.make()
         reporter.job_done(duration=0.0)
@@ -46,20 +38,13 @@ class TestEtaGuards:
         reporter.job_done(duration=-5.0)
         assert reporter.eta_seconds() is None  # clamped to 0 -> zero rate
 
-    def test_mixed_cached_and_computed(self):
-        reporter = self.make(total=4)
-        reporter.job_done(cached=True)
-        reporter.job_done(duration=3.0)
-        # mean from computed jobs only; 2 remaining x 3s
-        assert reporter.eta_seconds() == 6.0
-
 
 class TestRendering:
     def test_progress_line_without_eta(self):
         stream = io.StringIO()
         reporter = ProgressReporter(total=2, label="t", enabled=True,
                                     min_interval=0.0, stream=stream)
-        reporter.job_done(cached=True)
+        reporter.job_done(duration=0.0)
         line = stream.getvalue()
         assert "1/2 done" in line
         assert "eta" not in line  # unknown ETA renders as no ETA
